@@ -17,18 +17,17 @@ from .ensembles import (
     check_operational_equivalence,
     ensemble_from_json,
     ensemble_to_json,
+    parity_signs,
     parity_strings,
     partial_trace_construction,
     signed_observable_sum,
 )
 from .equivalence_lp import (
     LPResult,
-    OutcomeTable,
     WeightMatrix,
     closeness,
     enforce_equivalences,
     normalized_closeness,
-    outcome_to_winning,
     parity_residual,
     winning_to_outcome,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "LinearProgramResult",
     "MarginalTable",
     "ObservableSet",
-    "OutcomeTable",
     "Preparation",
     "SIGMA_X",
     "SIGMA_Y",
@@ -116,8 +114,8 @@ __all__ = [
     "min_dimension_parameter",
     "noncontextual_bound",
     "normalized_closeness",
-    "outcome_to_winning",
     "parity_residual",
+    "parity_signs",
     "parity_strings",
     "partial_trace_construction",
     "povm_element",

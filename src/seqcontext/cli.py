@@ -3,7 +3,9 @@
 Every subcommand prints one JSON report to stdout with the shape
 {command, config, results, residuals, version}. Floats are rounded to six
 significant digits before serialization so repeated runs are byte-identical.
-Exit codes: 0 success, 2 invalid configuration, 3 numerical or solver failure.
+Exit codes: 0 success; 2 invalid configuration or input data, including a
+malformed or incomplete table CSV; 3 numerical or solver failure. ``dispatch``
+is the one place that maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .sequence import (
 FIXTURE_NAMES = ("observer1", "observer2", "observer3")
 
 
-class CliError(Exception):
-    """Invalid configuration; maps to exit code 2."""
+class CliError(ValueError):
+    """Invalid configuration; like every ``ValueError`` it maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,11 +99,8 @@ def _cmd_witness(args) -> int:
         etas = [theta_to_eta(t) for t in args.thetas]
     else:
         etas = list(args.etas)
-    try:
-        plan = visibility_chain(args.n, args.q, etas)
-        tables = run_sequence(args.n, args.q, etas)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    plan = visibility_chain(args.n, args.q, etas)
+    tables = run_sequence(args.n, args.q, etas)
     simulated = [witness(t) for t in tables]
     deviation = max((abs(a - b) for a, b in zip(simulated, plan.witnesses)), default=0.0)
     _emit(
@@ -121,10 +120,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    try:
-        report = critical_chain(args.n, args.q)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = critical_chain(args.n, args.q)
     _emit(
         "chain",
         {"n": args.n, "q": args.q},
@@ -141,10 +137,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    try:
-        plan = min_dimension_parameter(args.m, args.q)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    plan = min_dimension_parameter(args.m, args.q)
     _emit(
         "plan",
         {"m": args.m, "q": args.q},
@@ -162,17 +155,14 @@ def _cmd_plan(args) -> int:
 def _cmd_anonymous(args) -> int:
     if (args.theta is None) == (not args.optimize):
         raise CliError("provide exactly one of --theta or --optimize")
-    try:
-        if args.optimize:
-            opt = anonymous_optimum(args.n)
-            results = {"theta_star": opt.theta_star, "k_star": opt.k_star, "floor_k_star": math.floor(opt.k_star)}
-            config = {"n": args.n, "optimize": True}
-        else:
-            k = anonymous_chain_length(args.n, args.theta)
-            results = {"theta": args.theta, "k": k, "floor_k": math.floor(k)}
-            config = {"n": args.n, "theta": args.theta}
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.optimize:
+        opt = anonymous_optimum(args.n)
+        results = {"theta_star": opt.theta_star, "k_star": opt.k_star, "floor_k_star": math.floor(opt.k_star)}
+        config = {"n": args.n, "optimize": True}
+    else:
+        k = anonymous_chain_length(args.n, args.theta)
+        results = {"theta": args.theta, "k": k, "floor_k": math.floor(k)}
+        config = {"n": args.n, "theta": args.theta}
     _emit("anonymous", config, results, {})
     return 0
 
@@ -187,7 +177,7 @@ def _cmd_lp(args) -> int:
         payload.pop("omega")
     residuals = payload.pop("residuals")
     if args.output is not None:
-        rows = result.post_table.p0
+        rows = result.post_table
         with Path(args.output).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "p0"])
@@ -200,8 +190,6 @@ def _cmd_lp(args) -> int:
 
 def _cmd_sample(args) -> int:
     table, source = _load_table(args)
-    if args.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {args.trials}")
     sampled = sample_counts(table, args.trials, args.seed)
     if args.output is not None:
         write_marginal_csv(sampled, args.output)
@@ -242,10 +230,7 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        header, rows = _sweep_rows(args)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    header, rows = _sweep_rows(args)
     if args.out is not None:
         with Path(args.out).open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -338,12 +323,14 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         command = args.command or command
         return args.func(args)
-    except CliError as exc:
-        print(json.dumps({"command": command, "error": {"code": 2, "message": str(exc)}, "version": __version__}))
-        return 2
-    except Exception as exc:  # numerical/solver failures and bad inputs surfaced late
-        print(json.dumps({"command": command, "error": {"code": 3, "message": str(exc)}, "version": __version__}))
-        return 3
+    except Exception as exc:
+        # The package raises ValueError, CliError included, only for bad input.
+        # LinAlgError subclasses ValueError but is a numerical failure, and so
+        # is every other exception.
+        bad_input = isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
+        code = 2 if bad_input else 3
+        print(json.dumps({"command": command, "error": {"code": code, "message": str(exc)}, "version": __version__}))
+        return code
 
 
 def main(argv=None) -> int:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    ObservableSet,
-    build_observables,
-    identity,
-    is_positive_semidefinite,
-    tensor_product,
-)
+from .operators import ObservableSet, build_observables, identity, tensor_product
 
 
 def all_bit_strings(n: int) -> list[str]:
@@ -31,6 +25,18 @@ def all_bit_strings(n: int) -> list[str]:
 def parity_strings(n: int) -> list[str]:
     """All r in {0,1}^n with Hamming weight >= 2 (the hidden parities)."""
     return [r for r in all_bit_strings(n) if r.count("1") >= 2]
+
+
+def parity_signs(n: int) -> np.ndarray:
+    """Sylvester-Hadamard matrix H[r, x] = (-1)^(r.x), rows and columns in binary order.
+
+    Row r of H holds the sign every preparation x carries in the parity
+    constraint for r; the weight-1 rows give (-1)^(x_y) for each setting y.
+    """
+    signs = np.ones((1, 1))
+    for _ in range(n):
+        signs = np.block([[signs, signs], [signs, -signs]])
+    return signs
 
 
 def _validate_bits(x: str, n: int) -> str:
@@ -86,15 +92,6 @@ def build_ensemble(n: int, q: float) -> Ensemble:
     return Ensemble(n=n, q=float(q), preparations=preps, mix=identity(obs.dim) / obs.dim)
 
 
-def validate_preparation(prep: Preparation, tol: float = 1e-10) -> None:
-    """Raise if rho is not Hermitian, unit trace and positive semidefinite."""
-    rho = prep.rho
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"trace(rho) = {np.trace(rho)} is not 1 for x={prep.x}")
-    if not is_positive_semidefinite(rho, tol):
-        raise ValueError(f"rho for x={prep.x} is not a positive semidefinite Hermitian matrix")
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     passed: bool
@@ -108,18 +105,17 @@ def check_operational_equivalence(ensemble: Ensemble, tol: float = 1e-10) -> Equ
     The residual is the largest entrywise deviation over all r with |r| >= 2;
     ``worst_r`` names the parity that attains it.
     """
-    by_index = [p.rho for p in ensemble.preparations]
+    signs = parity_signs(ensemble.n)
     worst = 0.0
     worst_r = ""
     for r in parity_strings(ensemble.n):
-        r_int = int(r, 2)
         even = np.zeros_like(ensemble.mix)
         odd = np.zeros_like(ensemble.mix)
-        for ix, rho in enumerate(by_index):
-            if bin(ix & r_int).count("1") % 2 == 0:
-                even += rho
+        for sign, prep in zip(signs[int(r, 2)], ensemble.preparations):
+            if sign > 0:
+                even += prep.rho
             else:
-                odd += rho
+                odd += prep.rho
         residual = float(np.max(np.abs(even - odd)))
         if residual > worst or not worst_r:
             worst = residual

@@ -13,28 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import parity_strings
+from .ensembles import parity_signs, parity_strings
 from .sequence import MarginalTable, witness
 from .simplex import solve_lp
 
 PRIMARY_OBJECTIVE_SLACK = 1e-9
 PARITY_RESIDUAL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class OutcomeTable:
-    """Probabilities of outcome 0, p(b=0 | x, y), one row per x, one column per y."""
-
-    n: int
-    p0: np.ndarray
-
-    def __post_init__(self):
-        p0 = np.asarray(self.p0, dtype=float)
-        if p0.shape != (2**self.n, self.n):
-            raise ValueError(f"p0 must have shape ({2**self.n}, {self.n}), got {p0.shape}")
-        if not np.all(np.isfinite(p0)) or p0.min() < -1e-12 or p0.max() > 1.0 + 1e-12:
-            raise ValueError("outcome probabilities must lie in [0, 1]")
-        object.__setattr__(self, "p0", p0)
 
 
 @dataclass(frozen=True)
@@ -66,44 +50,28 @@ def normalized_closeness(weights: WeightMatrix) -> float:
     return closeness(weights) / 2**weights.n
 
 
-def _winning_signs(n: int) -> np.ndarray:
-    """sign[x, y] = +1 when bit y of x is 0 (winning outcome is 0), else -1."""
-    size = 2**n
-    signs = np.empty((size, n))
-    for ix in range(size):
-        for y in range(n):
-            signs[ix, y] = -1.0 if (ix >> (n - 1 - y)) & 1 else 1.0
-    return signs
+def _setting_signs(n: int) -> np.ndarray:
+    """sign[y, x] = (-1)^(x_y): the weight-1 rows of ``parity_signs``, setting y from the left."""
+    return parity_signs(n)[[2 ** (n - 1 - y) for y in range(n)]]
 
 
-def winning_to_outcome(table: MarginalTable) -> OutcomeTable:
-    """Convert winning probabilities to outcome-0 probabilities (involutive)."""
-    signs = _winning_signs(table.n)
-    p0 = np.where(signs > 0, table.win, 1.0 - table.win)
-    return OutcomeTable(n=table.n, p0=p0)
+def _constraint_signs(n: int) -> np.ndarray:
+    """Rows of ``parity_signs`` for the hidden parities |r| >= 2, in increasing r."""
+    return parity_signs(n)[[int(r, 2) for r in parity_strings(n)]]
 
 
-def outcome_to_winning(table: OutcomeTable) -> np.ndarray:
-    """Winning-probability array for an outcome table (inverse of winning_to_outcome)."""
-    signs = _winning_signs(table.n)
-    return np.where(signs > 0, table.p0, 1.0 - table.p0)
+def winning_to_outcome(p: np.ndarray) -> np.ndarray:
+    """Swap winning and outcome-0 probabilities of a (2^n, n) array (involutive).
 
-
-def _parity_sign_matrix(n: int) -> np.ndarray:
-    """rows: parity strings r with |r| >= 2; entry (r, x) = (-1)^(r.x)."""
-    rs = parity_strings(n)
-    size = 2**n
-    signs = np.empty((len(rs), size))
-    for ir, r in enumerate(rs):
-        r_int = int(r, 2)
-        for ix in range(size):
-            signs[ir, ix] = -1.0 if bin(ix & r_int).count("1") % 2 else 1.0
-    return signs
+    The winning outcome for setting y is bit y of x, so entries whose bit is 1
+    become 1 - p and the others are kept.
+    """
+    return np.where(_setting_signs(p.shape[1]).T > 0, p, 1.0 - p)
 
 
 def parity_residual(p0: np.ndarray, n: int) -> float:
     """Largest parity-constraint violation max_{r,y} |sum_x (-1)^(r.x) p0[x, y]|."""
-    signs = _parity_sign_matrix(n)
+    signs = _constraint_signs(n)
     return float(np.max(np.abs(signs @ p0))) if signs.size else 0.0
 
 
@@ -115,7 +83,7 @@ class LPResult:
     omega: WeightMatrix | None
     closeness_raw: float | None
     closeness_normalized: float | None
-    post_table: OutcomeTable | None
+    post_table: np.ndarray | None  # clipped outcome-0 probabilities p0[x, y] after the remix
     max_parity_residual: float | None
 
     def to_json_dict(self) -> dict:
@@ -134,8 +102,8 @@ def _build_program(p0: np.ndarray, n: int):
     """Assemble the equality system and witness objective over flattened w[x, x']."""
     size = 2**n
     nvar = size * size
-    parity_signs = _parity_sign_matrix(n)
-    n_parity = parity_signs.shape[0]
+    signs = _constraint_signs(n)
+    n_parity = signs.shape[0]
 
     rows = np.zeros((size + n_parity * n, nvar))
     rhs = np.zeros(size + n_parity * n)
@@ -146,11 +114,10 @@ def _build_program(p0: np.ndarray, n: int):
     for ir in range(n_parity):
         for y in range(n):
             for x in range(size):
-                rows[row, x * size : (x + 1) * size] = parity_signs[ir, x] * p0[:, y]
+                rows[row, x * size : (x + 1) * size] = signs[ir, x] * p0[:, y]
             row += 1
 
-    win_signs = _winning_signs(n)
-    coeff_per_source = p0 @ win_signs.T / (n * size)  # [x', x]
+    coeff_per_source = p0 @ _setting_signs(n) / (n * size)  # [x', x]
     c = coeff_per_source.T.reshape(-1)
     return c, rows, rhs
 
@@ -165,7 +132,7 @@ def enforce_equivalences(table: MarginalTable, tie_break_closeness: bool = True)
     """
     n = table.n
     size = 2**n
-    p0 = winning_to_outcome(table).p0
+    p0 = winning_to_outcome(table.win)
     a_pre = witness(table)
 
     c_primary, rows, rhs = _build_program(p0, n)
@@ -199,8 +166,8 @@ def enforce_equivalences(table: MarginalTable, tie_break_closeness: bool = True)
 
     omega = WeightMatrix(n=n, omega=solution.reshape(size, size))
     p0_post = omega.omega @ p0
-    post = OutcomeTable(n=n, p0=np.clip(p0_post, 0.0, 1.0))
-    a_post = float(np.mean(outcome_to_winning(post)))
+    post = np.clip(p0_post, 0.0, 1.0)
+    a_post = float(np.mean(winning_to_outcome(post)))
     residual = parity_residual(p0_post, n)
     if residual > PARITY_RESIDUAL_TOL:
         raise RuntimeError(f"parity residual {residual:.3e} exceeds {PARITY_RESIDUAL_TOL} on an optimal solve")

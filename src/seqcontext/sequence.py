@@ -226,7 +226,7 @@ def read_marginal_csv(path, provenance: str = "recorded") -> MarginalTable:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # short rows fail as bad values, not as None
         fields = reader.fieldnames or []
         if fields[:3] != ["x", "y", "p_win"]:
             raise ValueError(f"expected header x,y,p_win[,sigma] in {path}, got {fields}")
@@ -236,6 +236,11 @@ def read_marginal_csv(path, provenance: str = "recorded") -> MarginalTable:
         raise ValueError(f"no data rows in {path}")
 
     n = len(rows[0]["x"])
+    # Count before allocating: the arrays hold n * 2^n entries, which one long
+    # bit string would otherwise make huge. Surplus rows cannot all be distinct
+    # (x, y) pairs, and the loop below names the first bad one.
+    if len(rows) < n * 2**n:
+        raise ValueError(f"table in {path} is incomplete: {len(rows)} rows for bit strings of length {n}")
     win = np.full((2**n, n), np.nan)
     sigma = np.full((2**n, n), np.nan) if has_sigma else None
     for row in rows:

@@ -8,22 +8,13 @@ import math
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from seqcontext.cli import dispatch, fixture_path
-from seqcontext.ensembles import all_bit_strings, build_preparation
 from seqcontext.equivalence_lp import enforce_equivalences
-from seqcontext.operators import build_observables, identity
 from seqcontext.planner import anonymous_optimum, critical_chain
-from seqcontext.sequence import (
-    closed_form_witness,
-    evolve_average,
-    read_marginal_csv,
-    run_sequence,
-    visibility_chain,
-    witness,
-)
+from seqcontext.selfcheck import check_sandwich, check_visibility_lemma
+from seqcontext.sequence import closed_form_witness, read_marginal_csv, run_sequence, visibility_chain, witness
 
 
 @contextmanager
@@ -50,22 +41,8 @@ def test_criterion_1_maximal_witness():
 
 def test_criterion_2_visibility_recursion_oracle():
     with criterion(2, "evolved average states match the visibility recursion (20 draws per n)", 30.0):
-        rng = np.random.default_rng(2024)
-        for n in range(2, 7):
-            obs = build_observables(n)
-            mix = identity(obs.dim) / obs.dim
-            pure = {x: build_preparation(n, x, 1.0, obs).rho for x in all_bit_strings(n)}
-            for _ in range(20):
-                q = float(rng.uniform(0.05, 1.0))
-                etas = [float(e) for e in rng.uniform(0.0, 1.0, size=int(rng.integers(1, n + 1)))]
-                plan = visibility_chain(n, q, etas)
-                for x, rho1 in pure.items():
-                    state = build_preparation(n, x, q, obs).rho
-                    for k, eta in enumerate(etas):
-                        expected = plan.visibilities[k] * rho1 + (1 - plan.visibilities[k]) * mix
-                        assert float(np.max(np.abs(state - expected))) <= 1e-9
-                        if k + 1 < len(etas):
-                            state = evolve_average(state, eta, n, obs)
+        result = check_visibility_lemma(seed=2024, draws_per_n=20, tol=1e-9)
+        assert result.ok, result.detail
 
 
 def test_criterion_3_exactly_n_sharing():
@@ -81,12 +58,8 @@ def test_criterion_4_squared_visibility_sandwich():
     # the derivation fixes the orientation used here:
     # (n-1)/n^2 < v_k^2 - v_{k+1}^2 < 1/n, strictly, at every critical step.
     with criterion(4, "squared-visibility drop strictly between (n-1)/n^2 and 1/n"):
-        for n in range(2, 13):
-            report = critical_chain(n, 1.0)
-            lower, upper = (n - 1) / n**2, 1.0 / n
-            for k in range(report.violations):
-                drop = report.visibilities[k] ** 2 - report.visibilities[k + 1] ** 2
-                assert lower + 1e-12 < drop < upper - 1e-12
+        result = check_sandwich(n_max=12, margin=1e-12)
+        assert result.ok, result.detail
 
 
 def test_criterion_5_experimental_ideal_values():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from seqcontext import equivalence_lp
 from seqcontext.cli import dispatch, fixture_path
 from seqcontext.sampling import sample_counts
 from seqcontext.sequence import MarginalTable, read_marginal_csv, run_sequence, witness
@@ -196,12 +197,67 @@ def test_invalid_config_returns_error_json(capsys):
 
 
 def test_malformed_data_returns_failure_json(capsys, tmp_path):
+    # p_win = 1.4 is bad input data, not a numerical failure
     bad = tmp_path / "bad.csv"
     rows = ["x,y,p_win"] + [f"{x},{y},1.4" for x in ("00", "01", "10", "11") for y in (1, 2)]
     bad.write_text("\n".join(rows) + "\n")
     code, report = run_json(capsys, "lp", "--input", str(bad))
-    assert code == 3
-    assert report["error"]["code"] == 3
+    assert code == 2
+    assert report["error"]["code"] == 2
+
+
+def assert_error_only(code, report, expected):
+    """An error report carries the exit code and nothing of a partial result."""
+    assert code == expected
+    assert set(report) == {"command", "error", "version"}
+    assert report["error"]["code"] == expected
+
+
+N3_ROWS = [f"{x},{y},0.5" for x in ("000", "001", "010", "011", "100", "101", "110", "111") for y in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "command,rows",
+    [
+        ("lp", N3_ROWS[:6] + ["0x1,1,0.5"] + N3_ROWS[7:]),
+        ("lp", N3_ROWS[:-2]),
+        ("sample", N3_ROWS[:-2]),
+        ("lp", N3_ROWS[:-1] + ["111,3"]),
+        ("lp", ["0" * 30 + ",1,0.5"]),
+    ],
+    ids=["bad-bit-string", "lp-missing-rows", "sample-missing-rows", "short-row", "one-row-30-bits"],
+)
+def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(["x,y,p_win", *rows]) + "\n")
+    extra = ["--trials", "10"] if command == "sample" else []
+    code, report = run_json(capsys, command, "--input", str(path), *extra)
+    assert_error_only(code, report, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--n", "3", "--thetas", "-0.5"],
+        ["sample", "--fixture", "observer1", "--trials", "0"],
+    ],
+    ids=["negative-theta", "zero-trials"],
+)
+def test_invalid_values_exit_2(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert_error_only(code, report, 2)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, np.linalg.LinAlgError])
+def test_solver_failure_exits_3(capsys, monkeypatch, error):
+    # LinAlgError subclasses ValueError, yet it is a numerical failure
+    def broken(*args, **kwargs):
+        raise error("simplex failed to terminate")
+
+    monkeypatch.setattr(equivalence_lp, "solve_lp", broken)
+    code, report = run_json(capsys, "lp", "--fixture", "observer1")
+    assert_error_only(code, report, 3)
+    assert "simplex" in report["error"]["message"]
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

@@ -12,6 +12,7 @@ from seqcontext.ensembles import (
     check_operational_equivalence,
     ensemble_from_json,
     ensemble_to_json,
+    parity_signs,
     parity_strings,
     partial_trace_construction,
     signed_observable_sum,
@@ -29,6 +30,15 @@ def test_parity_strings():
     assert parity_strings(3) == ["011", "101", "110", "111"]
     assert parity_strings(2) == ["11"]
     assert len(parity_strings(4)) == 2**4 - 4 - 1
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_parity_signs_match_popcount_definition(n):
+    signs = parity_signs(n)
+    size = 2**n
+    expected = np.array([[(-1.0) ** bin(r & x).count("1") for x in range(size)] for r in range(size)])
+    np.testing.assert_array_equal(signs, expected)
+    np.testing.assert_array_equal(signs @ signs, size * np.eye(size))
 
 
 def test_preparation_bloch_vectors_n3():

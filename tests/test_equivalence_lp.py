@@ -3,12 +3,10 @@ import pytest
 
 from seqcontext.cli import fixture_path
 from seqcontext.equivalence_lp import (
-    OutcomeTable,
     WeightMatrix,
     closeness,
     enforce_equivalences,
     normalized_closeness,
-    outcome_to_winning,
     parity_residual,
     winning_to_outcome,
 )
@@ -28,29 +26,28 @@ def table_from_rows(rows, n=2, provenance="recorded"):
 
 def test_winning_to_outcome_keeps_zero_bits():
     table = read_marginal_csv(fixture_path("observer1"))
-    out = winning_to_outcome(table)
+    p0 = winning_to_outcome(table.win)
     # row 000: bits all zero, winning probability is already p(b=0)
-    np.testing.assert_allclose(out.p0[0], table.win[0], atol=0)
+    np.testing.assert_allclose(p0[0], table.win[0], atol=0)
 
 
 def test_winning_to_outcome_flips_one_bits():
     win = np.full((4, 2), 0.5)
     win[int("10", 2), 0] = 0.6911
-    out = winning_to_outcome(table_from_rows(win))
-    assert out.p0[int("10", 2), 0] == pytest.approx(1.0 - 0.6911)
+    p0 = winning_to_outcome(win)
+    assert p0[int("10", 2), 0] == pytest.approx(1.0 - 0.6911)
 
 
 def test_winning_to_outcome_fixed_point_at_half():
     win = np.full((8, 3), 0.5)
-    out = winning_to_outcome(table_from_rows(win, n=3))
-    np.testing.assert_allclose(out.p0, 0.5, atol=0)
+    np.testing.assert_allclose(winning_to_outcome(win), 0.5, atol=0)
 
 
 def test_conversion_round_trip():
+    # the conversion is its own inverse
     rng = np.random.default_rng(9)
     win = rng.uniform(0.0, 1.0, size=(8, 3))
-    table = table_from_rows(win, n=3)
-    np.testing.assert_allclose(outcome_to_winning(winning_to_outcome(table)), win, atol=0)
+    np.testing.assert_allclose(winning_to_outcome(winning_to_outcome(win)), win, atol=0)
 
 
 def test_closeness_extremes():
@@ -67,13 +64,6 @@ def test_weight_matrix_validation():
         WeightMatrix(n=2, omega=np.full((4, 4), 0.3))  # rows sum to 1.2
     with pytest.raises(ValueError):
         WeightMatrix(n=2, omega=-np.eye(4))
-
-
-def test_outcome_table_validation():
-    with pytest.raises(ValueError):
-        OutcomeTable(n=2, p0=np.full((4, 2), 1.4))
-    with pytest.raises(ValueError):
-        OutcomeTable(n=2, p0=np.ones((3, 2)))
 
 
 def test_ideal_table_needs_no_correction():
@@ -106,7 +96,7 @@ def test_recorded_tables_reproduce_published_analysis(name):
 def test_post_table_satisfies_constraints_columnwise():
     table = read_marginal_csv(fixture_path("observer1"))
     result = enforce_equivalences(table)
-    assert parity_residual(result.post_table.p0, 3) <= 1e-8
+    assert parity_residual(result.post_table, 3) <= 1e-8
 
 
 def test_never_infeasible_on_scrambled_data():
@@ -124,7 +114,7 @@ def test_two_setting_instance():
     win = rng.uniform(0.2, 0.8, size=(4, 2))
     result = enforce_equivalences(table_from_rows(win))
     assert result.status == "optimal"
-    assert parity_residual(result.post_table.p0, 2) <= 1e-8
+    assert parity_residual(result.post_table, 2) <= 1e-8
 
 
 def test_four_setting_instance():
