@@ -15,8 +15,6 @@ from .ensembles import (
     build_ensemble,
     build_preparation,
     check_operational_equivalence,
-    ensemble_from_json,
-    ensemble_to_json,
     parity_signs,
     parity_strings,
     partial_trace_construction,
@@ -105,8 +103,6 @@ __all__ = [
     "closeness",
     "critical_chain",
     "enforce_equivalences",
-    "ensemble_from_json",
-    "ensemble_to_json",
     "evolve_average",
     "kraus_operator",
     "marginal_probability",

@@ -36,6 +36,7 @@ from .sequence import (
 )
 
 FIXTURE_NAMES = ("observer1", "observer2", "observer3")
+SWEEP_MAX_POINTS = 10_000
 
 
 class CliError(ValueError):
@@ -129,7 +130,7 @@ def _cmd_chain(args) -> int:
             "visibilities": list(report.visibilities),
             "violations": report.violations,
             "next_required_eta": report.next_required_eta,
-            "final_visibility": report.final_visibility,
+            "final_visibility": report.visibilities[-1],
         },
         {},
     )
@@ -208,9 +209,9 @@ def _cmd_sample(args) -> int:
 
 def _sweep_rows(args) -> tuple[list[str], list[list]]:
     lo, hi, count = args.range
+    if not 1 <= count <= SWEEP_MAX_POINTS:
+        raise CliError(f"--range COUNT must lie in 1..{SWEEP_MAX_POINTS}, got {count:g}")
     count = int(count)
-    if count < 1:
-        raise CliError("--range COUNT must be >= 1")
     if args.mode == "noise":
         if args.n is None:
             raise CliError("--mode noise requires --n")

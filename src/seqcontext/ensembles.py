@@ -9,7 +9,6 @@ kept as an independent validation oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +68,6 @@ class Ensemble:
     q: float
     preparations: tuple[Preparation, ...]
     mix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mix.shape[0]
 
 
 def build_preparation(n: int, x: str, q: float, observables: ObservableSet | None = None) -> Preparation:
@@ -160,31 +155,3 @@ def partial_trace_construction(n: int, x: str) -> np.ndarray:
     op = tensor_product(identity(dim) + signed_observable_sum(obs, x), identity(dim))
     full = op @ state
     return np.einsum("aiaj->ij", full.reshape(dim, dim, dim, dim))
-
-
-def ensemble_to_json(ensemble: Ensemble) -> str:
-    """Serialize to JSON: {n, q, states: [{x, dim, re, im}]} with row-major entries."""
-    states = []
-    for prep in ensemble.preparations:
-        flat = prep.rho.reshape(-1)
-        states.append(
-            {
-                "x": prep.x,
-                "dim": prep.rho.shape[0],
-                "re": [float(v) for v in flat.real],
-                "im": [float(v) for v in flat.imag],
-            }
-        )
-    return json.dumps({"n": ensemble.n, "q": ensemble.q, "states": states})
-
-
-def ensemble_from_json(payload: str) -> Ensemble:
-    obj = json.loads(payload)
-    n = int(obj["n"])
-    preps = []
-    for entry in obj["states"]:
-        dim = int(entry["dim"])
-        rho = (np.array(entry["re"]) + 1j * np.array(entry["im"])).reshape(dim, dim)
-        preps.append(Preparation(x=_validate_bits(entry["x"], n), rho=rho))
-    mix = identity(preps[0].rho.shape[0]) / preps[0].rho.shape[0]
-    return Ensemble(n=n, q=float(obj["q"]), preparations=tuple(preps), mix=mix)

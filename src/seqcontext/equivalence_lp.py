@@ -122,13 +122,14 @@ def _build_program(p0: np.ndarray, n: int):
     return c, rows, rhs
 
 
-def enforce_equivalences(table: MarginalTable, tie_break_closeness: bool = True) -> LPResult:
+def enforce_equivalences(table: MarginalTable) -> LPResult:
     """Maximize the witness over remixed tables that satisfy every parity constraint.
 
     The uniform remix is always feasible, so valid input cannot come back
-    infeasible. With ``tie_break_closeness`` a second solve maximizes F among
-    weight matrices whose witness is within 1e-9 of the optimum, making the
-    reported omega deterministic and minimally distorting.
+    infeasible. A second solve then maximizes F among weight matrices whose
+    witness is within 1e-9 of the optimum, making the reported omega
+    deterministic and minimally distorting; if that solve is not optimal, the
+    primary solution is kept.
     """
     n = table.n
     size = 2**n
@@ -149,20 +150,17 @@ def enforce_equivalences(table: MarginalTable, tie_break_closeness: bool = True)
             max_parity_residual=None,
         )
 
-    solution = first.x
-    if tie_break_closeness:
-        # max F subject to the original system plus c_primary.w >= optimum - slack.
-        nvar = c_primary.size
-        rows2 = np.zeros((rows.shape[0] + 1, nvar + 1))
-        rows2[:-1, :nvar] = rows
-        rows2[-1, :nvar] = c_primary
-        rows2[-1, -1] = -1.0
-        rhs2 = np.concatenate([rhs, [first.objective - PRIMARY_OBJECTIVE_SLACK]])
-        c_secondary = np.zeros(nvar + 1)
-        c_secondary[: nvar : size + 1] = 1.0  # diagonal entries of w
-        second = solve_lp(c_secondary, rows2, rhs2)
-        if second.status == "optimal":
-            solution = second.x[:nvar]
+    # max F subject to the original system plus c_primary.w >= optimum - slack.
+    nvar = c_primary.size
+    rows2 = np.zeros((rows.shape[0] + 1, nvar + 1))
+    rows2[:-1, :nvar] = rows
+    rows2[-1, :nvar] = c_primary
+    rows2[-1, -1] = -1.0
+    rhs2 = np.concatenate([rhs, [first.objective - PRIMARY_OBJECTIVE_SLACK]])
+    c_secondary = np.zeros(nvar + 1)
+    c_secondary[: nvar : size + 1] = 1.0  # diagonal entries of w
+    second = solve_lp(c_secondary, rows2, rhs2)
+    solution = second.x[:nvar] if second.status == "optimal" else first.x
 
     omega = WeightMatrix(n=n, omega=solution.reshape(size, size))
     p0_post = omega.omega @ p0

@@ -22,7 +22,6 @@ class ChainReport:
     ``visibilities`` has one more entry than ``critical_etas``: it ends with
     the visibility available to the first observer who can no longer saturate,
     and ``next_required_eta`` is the (>1) sharpness that observer would need.
-    ``final_visibility`` aliases the last entry of ``visibilities``.
     """
 
     n: int
@@ -31,7 +30,6 @@ class ChainReport:
     visibilities: tuple[float, ...]
     violations: int
     next_required_eta: float
-    final_visibility: float
 
 
 def critical_chain(n: int, q: float) -> ChainReport:
@@ -57,7 +55,6 @@ def critical_chain(n: int, q: float) -> ChainReport:
                 visibilities=tuple(visibilities),
                 violations=len(etas),
                 next_required_eta=required,
-                final_visibility=v,
             )
         etas.append(required)
         v *= quality_factor(n, required)
@@ -167,14 +164,15 @@ def _golden_maximize(f, lo: float, hi: float, tol: float) -> tuple[float, float]
     return mid, f(mid)
 
 
-def anonymous_optimum(n: int, grid_points: int = 512, tol: float = 1e-10) -> AnonymousOptimum:
+def anonymous_optimum(n: int) -> AnonymousOptimum:
     """Maximize the anonymous chain length over the shared angle theta.
 
-    Deterministic: a coarse grid scan brackets the maximum, then golden-section
-    refines it to ``tol`` in theta.
+    Deterministic: a 512-point grid scan brackets the maximum, then
+    golden-section refines it to 1e-10 in theta.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
+    grid_points = 512
     lo = math.asin(1.0 / math.sqrt(n)) + 1e-9
     hi = math.pi / 2 - 1e-9
 
@@ -185,5 +183,5 @@ def anonymous_optimum(n: int, grid_points: int = 512, tol: float = 1e-10) -> Ano
     best = max(range(grid_points), key=lambda i: f(xs[i]))
     bracket_lo = xs[max(best - 1, 0)]
     bracket_hi = xs[min(best + 1, grid_points - 1)]
-    theta_star, k_star = _golden_maximize(f, bracket_lo, bracket_hi, tol)
+    theta_star, k_star = _golden_maximize(f, bracket_lo, bracket_hi, 1e-10)
     return AnonymousOptimum(n=n, theta_star=theta_star, k_star=k_star)

@@ -20,4 +20,4 @@ def sample_counts(table: MarginalTable, trials_per_setting: int, seed: int) -> M
     counts = rng.binomial(trials_per_setting, table.win)
     win = counts / float(trials_per_setting)
     sigma = np.sqrt(win * (1.0 - win) / trials_per_setting)
-    return MarginalTable(n=table.n, win=win, provenance="sampled", sigma=sigma)
+    return MarginalTable(n=table.n, win=win, sigma=sigma)

@@ -19,7 +19,8 @@ import numpy as np
 from .ensembles import all_bit_strings, build_preparation
 from .operators import ObservableSet, build_observables, identity, is_density_matrix
 
-PROVENANCES = ("simulated", "sampled", "recorded")
+# run_sequence holds 2^n dense states of 4^(n//2) complex entries; this caps them at n <= 11.
+STATE_BYTES_BUDGET = 2**26
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,6 @@ class MarginalTable:
 
     n: int
     win: np.ndarray
-    provenance: str = "simulated"
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
@@ -179,8 +179,6 @@ class MarginalTable:
             raise ValueError("win contains non-finite entries; the table is incomplete")
         if win.min() < -1e-12 or win.max() > 1.0 + 1e-12:
             raise ValueError("winning probabilities must lie in [0, 1]")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
         object.__setattr__(self, "win", win)
         if self.sigma is not None:
             sigma = np.asarray(self.sigma, dtype=float)
@@ -198,8 +196,15 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
     """Simulate the full observer chain, one marginal table per observer.
 
     Observer k receives each preparation evolved through the k-1 preceding
-    averaged channels, then measures at sharpness etas[k-1].
+    averaged channels, then measures at sharpness etas[k-1]. Sizes whose
+    states exceed ``STATE_BYTES_BUDGET`` are refused before anything is built.
     """
+    state_bytes = 2**n * 4 ** (n // 2) * 16
+    if state_bytes > STATE_BYTES_BUDGET:
+        raise ValueError(
+            f"n={n} needs {state_bytes} bytes of dense states, above the {STATE_BYTES_BUDGET}-byte budget; "
+            "visibility_chain gives the same witnesses in closed form"
+        )
     obs = build_observables(n)
     etas = tuple(float(e) for e in etas)
     strings = all_bit_strings(n)
@@ -212,13 +217,13 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
             for y in range(1, n + 1):
                 setting = UnsharpSetting(n=n, y=y, b=int(x[y - 1]), eta=eta)
                 win[ix, y - 1] = marginal_probability(states[ix], setting, obs)
-        tables.append(MarginalTable(n=n, win=win, provenance="simulated"))
+        tables.append(MarginalTable(n=n, win=win))
         if k + 1 < len(etas):
             states = [evolve_average(state, eta, n, obs) for state in states]
     return tables
 
 
-def read_marginal_csv(path, provenance: str = "recorded") -> MarginalTable:
+def read_marginal_csv(path) -> MarginalTable:
     """Load a table from CSV with header ``x,y,p_win[,sigma]``.
 
     Every (x, y) pair must appear exactly once; n is inferred from the bit
@@ -258,7 +263,7 @@ def read_marginal_csv(path, provenance: str = "recorded") -> MarginalTable:
             sigma[ix, y - 1] = float(row["sigma"])
     if np.isnan(win).any():
         raise ValueError(f"table in {path} is incomplete")
-    return MarginalTable(n=n, win=win, provenance=provenance, sigma=sigma)
+    return MarginalTable(n=n, win=win, sigma=sigma)
 
 
 def write_marginal_csv(table: MarginalTable, path) -> None:

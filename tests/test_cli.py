@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ def test_sample_counts_deterministic():
     first = sample_counts(table, 1000, seed=42)
     second = sample_counts(table, 1000, seed=42)
     np.testing.assert_array_equal(first.win, second.win)
-    assert first.provenance == "sampled"
     different = sample_counts(table, 1000, seed=43)
     assert np.any(different.win != first.win)
 
@@ -142,7 +142,7 @@ def test_sample_command_round_trip(capsys, tmp_path):
         "--output", str(out),
     )
     assert code == 0
-    sampled = read_marginal_csv(out, provenance="sampled")
+    sampled = read_marginal_csv(out)
     assert sampled.n == 3
     assert report["results"]["witness_sampled"] == pytest.approx(
         witness(sampled), abs=1e-6
@@ -179,6 +179,12 @@ def test_sweep_anonymous_mode(capsys):
     assert code == 0
     assert report["results"]["header"] == ["n", "theta", "k"]
     assert all(row[2] >= 1.0 for row in report["results"]["rows"])
+
+
+def test_sweep_count_at_limit_succeeds(capsys):
+    code, report = run_json(capsys, "sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "10000")
+    assert code == 0
+    assert len(report["results"]["rows"]) == 10000
 
 
 def test_sweep_requires_mode_parameters(capsys):
@@ -240,11 +246,19 @@ def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
     [
         ["witness", "--n", "3", "--thetas", "-0.5"],
         ["sample", "--fixture", "observer1", "--trials", "0"],
+        ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "0"],
+        ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "inf"],
+        ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "10001"],
+        ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "100000000"],
+        ["witness", "--n", "30", "--etas", "0.5"],
     ],
-    ids=["negative-theta", "zero-trials"],
+    ids=["negative-theta", "zero-trials", "zero-count", "inf-count", "count-10001", "count-1e8", "oversized-witness"],
 )
 def test_invalid_values_exit_2(capsys, argv):
+    # each is refused up front, before any sized work starts
+    start = time.perf_counter()
     code, report = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert_error_only(code, report, 2)
 
 

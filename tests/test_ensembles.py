@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from seqcontext.ensembles import (
     build_ensemble,
     build_preparation,
     check_operational_equivalence,
-    ensemble_from_json,
-    ensemble_to_json,
     parity_signs,
     parity_strings,
     partial_trace_construction,
@@ -145,15 +141,3 @@ def test_operational_equivalence_detects_tampering():
     assert not report.passed
     assert report.worst_r in parity_strings(3)
     assert report.residual > 1e-3
-
-
-def test_json_round_trip():
-    ensemble = build_ensemble(3, 0.8)
-    payload = ensemble_to_json(ensemble)
-    decoded = json.loads(payload)
-    assert decoded["n"] == 3 and decoded["q"] == 0.8
-    restored = ensemble_from_json(payload)
-    assert restored.n == ensemble.n
-    for a, b in zip(restored.preparations, ensemble.preparations):
-        assert a.x == b.x
-        np.testing.assert_allclose(a.rho, b.rho, atol=1e-15)

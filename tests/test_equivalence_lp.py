@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqcontext import equivalence_lp
 from seqcontext.cli import fixture_path
 from seqcontext.equivalence_lp import (
     WeightMatrix,
@@ -11,6 +12,7 @@ from seqcontext.equivalence_lp import (
     winning_to_outcome,
 )
 from seqcontext.sequence import MarginalTable, read_marginal_csv, run_sequence, witness
+from seqcontext.simplex import LinearProgramResult
 
 MAX_WITNESS_3 = 0.7886751345948129
 
@@ -20,8 +22,8 @@ PUBLISHED_POST = {"observer1": 0.683, "observer2": 0.670, "observer3": 0.677}
 PUBLISHED_F = {"observer1": 0.9690, "observer2": 0.9537, "observer3": 0.9700}
 
 
-def table_from_rows(rows, n=2, provenance="recorded"):
-    return MarginalTable(n=n, win=np.asarray(rows, dtype=float), provenance=provenance)
+def table_from_rows(rows, n=2):
+    return MarginalTable(n=n, win=np.asarray(rows, dtype=float))
 
 
 def test_winning_to_outcome_keeps_zero_bits():
@@ -132,11 +134,44 @@ def test_four_setting_instance():
 
 def test_tie_break_prefers_identity_like_weights():
     ideal = run_sequence(3, 1.0, [0.6441])[0]
-    with_tiebreak = enforce_equivalences(ideal, tie_break_closeness=True)
-    assert with_tiebreak.closeness_normalized == pytest.approx(1.0, abs=1e-9)
-    without = enforce_equivalences(ideal, tie_break_closeness=False)
-    # the primary optimum is unaffected by the tie-break
-    assert without.a_post == pytest.approx(with_tiebreak.a_post, abs=1e-9)
+    result = enforce_equivalences(ideal)
+    assert result.closeness_normalized == pytest.approx(1.0, abs=1e-9)
+
+
+def infeasible_on_call(monkeypatch, failing_call):
+    """Make call number ``failing_call`` of solve_lp report infeasible; return every call's result."""
+    real = equivalence_lp.solve_lp
+    results = []
+
+    def wrapper(*args):
+        if len(results) + 1 == failing_call:
+            result = LinearProgramResult(status="infeasible", x=None, objective=None, residual=None)
+        else:
+            result = real(*args)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(equivalence_lp, "solve_lp", wrapper)
+    return results
+
+
+def test_primary_failure_returns_status_without_solution(monkeypatch):
+    table = read_marginal_csv(fixture_path("observer1"))
+    results = infeasible_on_call(monkeypatch, 1)
+    result = enforce_equivalences(table)
+    assert len(results) == 1
+    assert result.status == "infeasible"
+    assert result.a_pre == pytest.approx(A_PRE["observer1"], abs=1e-12)
+    assert result.a_post is None and result.omega is None and result.post_table is None
+
+
+def test_tie_break_failure_keeps_primary_solution(monkeypatch):
+    table = read_marginal_csv(fixture_path("observer1"))
+    results = infeasible_on_call(monkeypatch, 2)
+    result = enforce_equivalences(table)
+    assert [r.status for r in results] == ["optimal", "infeasible"]
+    assert result.status == "optimal"
+    np.testing.assert_array_equal(result.omega.omega, results[0].x.reshape(8, 8))
 
 
 def test_json_dict_shape():

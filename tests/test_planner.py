@@ -27,7 +27,7 @@ def test_critical_chain_n3():
     np.testing.assert_allclose(report.visibilities, CHAIN_3_VIS, atol=1e-12)
     assert report.violations == 3
     assert report.next_required_eta == pytest.approx(CHAIN_3_NEXT, abs=1e-12)
-    assert report.final_visibility == pytest.approx(CHAIN_3_VIS[-1], abs=1e-12)
+    assert report.visibilities[-1] == pytest.approx(CHAIN_3_VIS[-1], abs=1e-12)
 
 
 def test_critical_chain_n2():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqcontext import sequence
 from seqcontext.ensembles import all_bit_strings, build_ensemble, build_preparation
 from seqcontext.operators import SIGMA_X, build_observables, identity
 from seqcontext.sequence import (
@@ -202,8 +203,6 @@ def test_marginal_table_validation():
         MarginalTable(n=2, win=np.full((4, 2), np.nan))
     with pytest.raises(ValueError):
         MarginalTable(n=2, win=np.full((4, 2), 1.7))
-    with pytest.raises(ValueError):
-        MarginalTable(n=2, win=np.full((4, 2), 0.5), provenance="guessed")
 
 
 def test_run_sequence_reproduces_experimental_chain():
@@ -211,12 +210,23 @@ def test_run_sequence_reproduces_experimental_chain():
     values = [witness(t) for t in tables]
     for value in values:
         assert value == pytest.approx(0.6859, abs=5e-5)
-    assert all(t.provenance == "simulated" for t in tables)
 
 
 def test_run_sequence_second_observer_after_sharp():
     tables = run_sequence(2, 1.0, [1.0, 1.0])
     assert witness(tables[1]) == pytest.approx(0.6767766952966369, abs=1e-9)
+
+
+def test_run_sequence_refuses_sizes_above_budget(monkeypatch):
+    # n = 12 would hold 268 MB of dense states; the guard fires before anything is built
+    def unexpected(n):
+        raise AssertionError("build_observables ran for an oversized chain")
+
+    monkeypatch.setattr(sequence, "build_observables", unexpected)
+    with pytest.raises(ValueError, match="visibility_chain"):
+        run_sequence(12, 1.0, [0.5])
+    with pytest.raises(ValueError, match="visibility_chain"):
+        run_sequence(30, 1.0, [0.5])
 
 
 def test_run_sequence_no_signal_at_zero_visibility():
@@ -275,7 +285,7 @@ def test_csv_round_trip(tmp_path):
     table = run_sequence(3, 1.0, [0.6441])[0]
     path = tmp_path / "table.csv"
     write_marginal_csv(table, path)
-    loaded = read_marginal_csv(path, provenance="simulated")
+    loaded = read_marginal_csv(path)
     np.testing.assert_allclose(loaded.win, table.win, atol=0)
     assert loaded.sigma is None
 
@@ -283,7 +293,7 @@ def test_csv_round_trip(tmp_path):
 def test_csv_round_trip_with_sigma(tmp_path):
     win = np.full((4, 2), 0.25)
     sigma = np.full((4, 2), 0.01)
-    table = MarginalTable(n=2, win=win, provenance="recorded", sigma=sigma)
+    table = MarginalTable(n=2, win=win, sigma=sigma)
     path = tmp_path / "sig.csv"
     write_marginal_csv(table, path)
     loaded = read_marginal_csv(path)
