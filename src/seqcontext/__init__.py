@@ -8,9 +8,7 @@ recorded marginal tables onto exact parity equivalences with a linear program.
 """
 
 from .ensembles import (
-    Ensemble,
     EquivalenceReport,
-    Preparation,
     all_bit_strings,
     build_ensemble,
     build_preparation,
@@ -78,14 +76,12 @@ __all__ = [
     "AnticommutationReport",
     "ChainReport",
     "DimensionPlan",
-    "Ensemble",
     "EquivalenceReport",
     "IDENTITY_2",
     "LPResult",
     "LinearProgramResult",
     "MarginalTable",
     "ObservableSet",
-    "Preparation",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",

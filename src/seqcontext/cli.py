@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, planner
 from .equivalence_lp import enforce_equivalences
 from .planner import anonymous_chain_length, anonymous_optimum, critical_chain, max_shared_observers, min_dimension_parameter
 from .sampling import sample_counts
@@ -220,6 +220,8 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
     if args.mode == "dimension":
         if args.q is None:
             raise CliError("--mode dimension requires --q")
+        if not (math.isfinite(lo) and math.isfinite(hi) and max(lo, hi) <= planner.MAX_CHAIN_N):
+            raise CliError(f"--mode dimension needs finite MIN and MAX up to {planner.MAX_CHAIN_N}, got {lo:g} {hi:g}")
         ns = sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
         return ["n", "q", "violations"], [[n, args.q, max_shared_observers(n, args.q)] for n in ns]
     if args.mode == "anonymous":

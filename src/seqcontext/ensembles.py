@@ -15,6 +15,9 @@ import numpy as np
 
 from .operators import ObservableSet, build_observables, identity, tensor_product
 
+# Largest entrywise residual at which two parity-class sums count as equal.
+EQUIVALENCE_TOL = 1e-10
+
 
 def all_bit_strings(n: int) -> list[str]:
     """All length-n bit strings in increasing binary order."""
@@ -56,35 +59,17 @@ def signed_observable_sum(observables: ObservableSet, x: str) -> np.ndarray:
     return acc / np.sqrt(observables.n)
 
 
-@dataclass(frozen=True)
-class Preparation:
-    x: str
-    rho: np.ndarray
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    n: int
-    q: float
-    preparations: tuple[Preparation, ...]
-    mix: np.ndarray
-
-
-def build_preparation(n: int, x: str, q: float, observables: ObservableSet | None = None) -> Preparation:
-    """Preparation for input x at ensemble visibility q: (1 + q A_x) / dim."""
+def build_preparation(n: int, x: str, q: float) -> np.ndarray:
+    """Density matrix of the preparation for input x at ensemble visibility q: (1 + q A_x) / dim."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"visibility q must lie in [0, 1], got {q}")
-    obs = observables if observables is not None else build_observables(n)
-    _validate_bits(x, n)
-    rho = (identity(obs.dim) + q * signed_observable_sum(obs, x)) / obs.dim
-    return Preparation(x=x, rho=rho)
-
-
-def build_ensemble(n: int, q: float) -> Ensemble:
-    """All 2^n preparations at visibility q, plus the maximally mixed state."""
     obs = build_observables(n)
-    preps = tuple(build_preparation(n, x, q, obs) for x in all_bit_strings(n))
-    return Ensemble(n=n, q=float(q), preparations=preps, mix=identity(obs.dim) / obs.dim)
+    return (identity(obs.dim) + q * signed_observable_sum(obs, x)) / obs.dim
+
+
+def build_ensemble(n: int, q: float) -> list[np.ndarray]:
+    """All 2^n preparations at visibility q, in binary order of x."""
+    return [build_preparation(n, x, q) for x in all_bit_strings(n)]
 
 
 @dataclass(frozen=True)
@@ -94,28 +79,32 @@ class EquivalenceReport:
     residual: float
 
 
-def check_operational_equivalence(ensemble: Ensemble, tol: float = 1e-10) -> EquivalenceReport:
+def check_operational_equivalence(states) -> EquivalenceReport:
     """Verify sum_{r.x=0} rho_x = sum_{r.x=1} rho_x for every parity string r.
 
-    The residual is the largest entrywise deviation over all r with |r| >= 2;
+    ``states`` holds the 2^n preparations in binary order of x, n >= 2. The
+    residual is the largest entrywise deviation over all r with |r| >= 2;
     ``worst_r`` names the parity that attains it.
     """
-    signs = parity_signs(ensemble.n)
+    n = len(states).bit_length() - 1
+    if n < 2 or len(states) != 2**n:
+        raise ValueError(f"expected 2^n states with n >= 2, got {len(states)}")
+    signs = parity_signs(n)
     worst = 0.0
     worst_r = ""
-    for r in parity_strings(ensemble.n):
-        even = np.zeros_like(ensemble.mix)
-        odd = np.zeros_like(ensemble.mix)
-        for sign, prep in zip(signs[int(r, 2)], ensemble.preparations):
+    for r in parity_strings(n):
+        even = np.zeros_like(states[0], dtype=complex)
+        odd = np.zeros_like(states[0], dtype=complex)
+        for sign, rho in zip(signs[int(r, 2)], states):
             if sign > 0:
-                even += prep.rho
+                even += rho
             else:
-                odd += prep.rho
+                odd += rho
         residual = float(np.max(np.abs(even - odd)))
         if residual > worst or not worst_r:
             worst = residual
             worst_r = r
-    return EquivalenceReport(passed=worst <= tol, worst_r=worst_r, residual=worst)
+    return EquivalenceReport(passed=worst <= EQUIVALENCE_TOL, worst_r=worst_r, residual=worst)
 
 
 def _permute_qubits(rho: np.ndarray, perm: list[int]) -> np.ndarray:
@@ -132,7 +121,7 @@ def partial_trace_construction(n: int, x: str) -> np.ndarray:
     Builds maximally entangled two-qubit pairs, reorders qubits so all kept
     halves trail all traced halves (halves of pair j stay paired), applies
     (1 + A_x) to the traced block and contracts it. The result equals the
-    transpose of ``build_preparation(n, x, 1).rho`` and serves only as a
+    transpose of ``build_preparation(n, x, 1)`` and serves only as a
     validation oracle for that construction.
     """
     obs = build_observables(n)

@@ -98,39 +98,34 @@ class ObservableSet:
 
 
 @lru_cache(maxsize=None)
-def _observable_family(n: int) -> tuple[np.ndarray, ...]:
+def _observable_family(n: int) -> ObservableSet:
     # Base cases are the three Pauli matrices; larger families extend by
     # tensoring sigma_x onto the previous family and appending identity
     # blocks with sigma_y (and sigma_z for odd n).
     if n == 2:
-        return (SIGMA_X, SIGMA_Y)
+        return ObservableSet(n=2, dim=2, observables=(SIGMA_X, SIGMA_Y))
     if n == 3:
-        return (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    if n % 2 == 0:
-        prev = _observable_family(n - 1)
-        eye = identity(prev[0].shape[0])
-        family = [tensor_product(g, SIGMA_X) for g in prev]
-        family.append(tensor_product(eye, SIGMA_Y))
-    else:
-        prev = _observable_family(n - 2)
-        eye = identity(prev[0].shape[0])
-        family = [tensor_product(g, SIGMA_X) for g in prev]
-        family.append(tensor_product(eye, SIGMA_Y))
+        return ObservableSet(n=3, dim=2, observables=(SIGMA_X, SIGMA_Y, SIGMA_Z))
+    prev = _observable_family(n - 1 if n % 2 == 0 else n - 2)
+    eye = identity(prev.dim)
+    family = [tensor_product(g, SIGMA_X) for g in prev]
+    family.append(tensor_product(eye, SIGMA_Y))
+    if n % 2:
         family.append(tensor_product(eye, SIGMA_Z))
-    return tuple(_frozen(g) for g in family)
+    return ObservableSet(n=n, dim=2 * prev.dim, observables=tuple(_frozen(g) for g in family))
 
 
 def build_observables(n: int) -> ObservableSet:
-    """Construct the anticommuting observable family for ``n`` settings.
+    """The anticommuting observable family for ``n`` settings.
 
-    Raises ``ValueError`` for ``n < 2``. The result is cached and immutable.
+    Raises ``ValueError`` unless ``n`` is an integer >= 2. Every call for the
+    same ``n`` returns the same cached, immutable set.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    family = _observable_family(int(n))
-    return ObservableSet(n=int(n), dim=family[0].shape[0], observables=family)
+    return _observable_family(int(n))
 
 
 @dataclass(frozen=True)
@@ -140,8 +135,8 @@ class AnticommutationReport:
     worst_pair: tuple[int, int]  # 1-based setting indices
 
 
-def verify_anticommutation(observables: ObservableSet, tol: float = DEFAULT_TOL) -> AnticommutationReport:
-    """Check {G_j, G_k} = 2 delta_jk * identity over all pairs.
+def verify_anticommutation(observables: ObservableSet) -> AnticommutationReport:
+    """Check {G_j, G_k} = 2 delta_jk * identity over all pairs, to ``DEFAULT_TOL``.
 
     The residual is the largest entrywise deviation across pairs; the report
     carries the offending pair so failures are diagnosable.
@@ -160,4 +155,4 @@ def verify_anticommutation(observables: ObservableSet, tol: float = DEFAULT_TOL)
             if residual > worst:
                 worst = residual
                 worst_pair = (j + 1, k + 1)
-    return AnticommutationReport(ok=worst <= tol, max_residual=worst, worst_pair=worst_pair)
+    return AnticommutationReport(ok=worst <= DEFAULT_TOL, max_residual=worst, worst_pair=worst_pair)

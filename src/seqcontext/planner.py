@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 from .sequence import quality_factor
 
+# Largest n of a critical chain: a chain has up to n steps and the dimension search runs one
+# per candidate n, so this bounds the time and report size of chain, plan and sweep.
+MAX_CHAIN_N = 1000
+MAX_FLOAT_N = 2**53  # largest n of the anonymous-chain formulas: every int up to it is an exact float
+
 
 @dataclass(frozen=True)
 class ChainReport:
@@ -34,8 +39,8 @@ class ChainReport:
 
 def critical_chain(n: int, q: float) -> ChainReport:
     """Run the saturation recursion until the required sharpness exceeds 1."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not 2 <= n <= MAX_CHAIN_N:
+        raise ValueError(f"n must lie in 2..{MAX_CHAIN_N}, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"visibility q must lie in [0, 1], got {q}")
 
@@ -88,16 +93,22 @@ class DimensionPlan:
 
 
 def min_dimension_parameter(m: int, q: float) -> DimensionPlan:
-    """Search the smallest n >= 2 with at least m critical-chain observers."""
+    """Search the smallest n >= 2 with at least m critical-chain observers.
+
+    Refuses m and q whose ceil(m/q^2), a size that always suffices, is above ``MAX_CHAIN_N``.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"visibility q must lie in (0, 1], got {q}")
+    # An int compares with a float exactly, so a huge m is refused here before m / q^2 converts it.
+    if m > MAX_CHAIN_N * q * q:
+        raise ValueError(f"m={m} at q={q} needs n up to ceil(m/q^2), above the limit of {MAX_CHAIN_N}")
 
     bound_linear = math.ceil(m / q)
     bound_squared = math.ceil(m / (q * q))
     # n = ceil(m/q^2) always suffices, so the search is bounded.
-    cap = max(2, bound_squared) + 1
+    cap = min(max(2, bound_squared) + 1, MAX_CHAIN_N)
     n_found = None
     for n in range(2, cap + 1):
         if max_shared_observers(n, q) >= m:
@@ -123,8 +134,8 @@ def anonymous_chain_length(n: int, theta: float) -> float:
     edge and raises below it (a single observer already fails to saturate).
     The integer number of saturating observers is floor of the result.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    if not 2 <= n <= MAX_FLOAT_N:
+        raise ValueError(f"n must lie in 2..2**53, got {n}")
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
     s = math.sin(theta)
@@ -170,8 +181,8 @@ def anonymous_optimum(n: int) -> AnonymousOptimum:
     Deterministic: a 512-point grid scan brackets the maximum, then
     golden-section refines it to 1e-10 in theta.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    if not 3 <= n <= MAX_FLOAT_N:
+        raise ValueError(f"n must lie in 3..2**53, got {n}")
     grid_points = 512
     lo = math.asin(1.0 / math.sqrt(n)) + 1e-9
     hi = math.pi / 2 - 1e-9

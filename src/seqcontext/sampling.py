@@ -14,8 +14,9 @@ def sample_counts(table: MarginalTable, trials_per_setting: int, seed: int) -> M
     are reproduced exactly. The sigma column carries the plug-in standard
     error sqrt(p(1-p)/N) of each estimate.
     """
-    if trials_per_setting < 1:
-        raise ValueError(f"trials_per_setting must be >= 1, got {trials_per_setting}")
+    # the binomial draw takes a 64-bit count
+    if not 1 <= trials_per_setting <= np.iinfo(np.int64).max:
+        raise ValueError(f"trials_per_setting must lie in 1..2**63 - 1, got {trials_per_setting}")
     rng = np.random.default_rng(seed)
     counts = rng.binomial(trials_per_setting, table.win)
     win = counts / float(trials_per_setting)

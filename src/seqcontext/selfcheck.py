@@ -13,18 +13,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .ensembles import (
-    Ensemble,
-    Preparation,
-    all_bit_strings,
-    build_ensemble,
-    build_preparation,
-    check_operational_equivalence,
-)
-from .operators import build_observables, verify_anticommutation
+from .ensembles import build_ensemble, check_operational_equivalence
+from .operators import DEFAULT_TOL, build_observables, verify_anticommutation
 from .planner import critical_chain
 from .sequence import UnsharpSetting, evolve_average, kraus_operator, visibility_chain
 from .simplex import solve_lp
+
+ANTICOMMUTATION_N_MAX = 10
+POVM_N_MAX = 6
+LP_ORACLE_SEED = 77
+LP_ORACLE_INSTANCES = 40
+LP_TOL = 1e-9  # feasibility of a vertex, and the largest simplex-vs-vertex objective gap
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,10 @@ class CheckResult:
     detail: str
 
 
-def check_anticommutation(n_max: int = 10, tol: float = 1e-12) -> CheckResult:
+def check_anticommutation() -> CheckResult:
     worst = 0.0
-    for n in range(2, n_max + 1):
-        report = verify_anticommutation(build_observables(n), tol)
+    for n in range(2, ANTICOMMUTATION_N_MAX + 1):
+        report = verify_anticommutation(build_observables(n))
         worst = max(worst, report.max_residual)
         if not report.ok:
             return CheckResult(
@@ -45,22 +44,22 @@ def check_anticommutation(n_max: int = 10, tol: float = 1e-12) -> CheckResult:
                 False,
                 f"n={n}: residual {report.max_residual:.3e} at pair {report.worst_pair}",
             )
-    return CheckResult("anticommutation", True, f"n=2..{n_max}, max residual {worst:.3e}")
+    return CheckResult("anticommutation", True, f"n=2..{ANTICOMMUTATION_N_MAX}, max residual {worst:.3e}")
 
 
-def check_povm_completeness(n_max: int = 6, tol: float = 1e-12) -> CheckResult:
+def check_povm_completeness() -> CheckResult:
     worst = 0.0
-    for n in range(2, n_max + 1):
+    for n in range(2, POVM_N_MAX + 1):
         obs = build_observables(n)
         eye = np.eye(obs.dim)
         for y in range(1, n + 1):
             for eta in (0.0, 0.3, 0.7637, 1.0):
                 total = np.zeros((obs.dim, obs.dim), dtype=complex)
                 for b in (0, 1):
-                    k = kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta), obs)
+                    k = kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta))
                     total += k.conj().T @ k
                 worst = max(worst, float(np.max(np.abs(total - eye))))
-    ok = worst <= tol
+    ok = worst <= DEFAULT_TOL
     return CheckResult("povm_completeness", ok, f"max |sum K'K - 1| = {worst:.3e}")
 
 
@@ -69,20 +68,19 @@ def check_visibility_lemma(seed: int = 20240, draws_per_n: int = 20, tol: float 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(2, 7):
-        obs = build_observables(n)
-        mix = np.eye(obs.dim) / obs.dim
-        pure = {x: build_preparation(n, x, 1.0, obs).rho for x in all_bit_strings(n)}
+        dim = build_observables(n).dim
+        mix = np.eye(dim) / dim
+        pure = build_ensemble(n, 1.0)
         for _ in range(draws_per_n):
             q = float(rng.uniform(0.05, 1.0))
             etas = [float(e) for e in rng.uniform(0.0, 1.0, size=rng.integers(1, n + 1))]
             plan = visibility_chain(n, q, etas)
-            for x, rho_pure in pure.items():
-                state = build_preparation(n, x, q, obs).rho
+            for rho_pure, state in zip(pure, build_ensemble(n, q)):
                 for k in range(len(etas)):
                     expected = plan.visibilities[k] * rho_pure + (1.0 - plan.visibilities[k]) * mix
                     worst = max(worst, float(np.max(np.abs(state - expected))))
                     if k + 1 < len(etas):
-                        state = evolve_average(state, etas[k], n, obs)
+                        state = evolve_average(state, etas[k], n)
     ok = worst <= tol
     return CheckResult("visibility_lemma", ok, f"max |simulated - closed form| = {worst:.3e}")
 
@@ -105,21 +103,11 @@ def check_sandwich(n_max: int = 12, margin: float = 1e-12) -> CheckResult:
     return CheckResult("visibility_sandwich", True, f"strict for all steps, n=2..{n_max}")
 
 
-def check_equivalence_preserved(tol: float = 1e-10) -> CheckResult:
+def check_equivalence_preserved() -> CheckResult:
     """Averaged channels are unital, so parity equivalences must survive evolution."""
     worst = 0.0
     for n, q, eta in [(2, 1.0, 0.9), (3, 1.0, 0.6441), (3, 0.4, 1.0), (4, 0.8, 0.5)]:
-        ensemble = build_ensemble(n, q)
-        obs = build_observables(n)
-        evolved = Ensemble(
-            n=n,
-            q=q,
-            preparations=tuple(
-                Preparation(x=p.x, rho=evolve_average(p.rho, eta, n, obs)) for p in ensemble.preparations
-            ),
-            mix=ensemble.mix,
-        )
-        report = check_operational_equivalence(evolved, tol)
+        report = check_operational_equivalence([evolve_average(rho, eta, n) for rho in build_ensemble(n, q)])
         worst = max(worst, report.residual)
         if not report.passed:
             return CheckResult(
@@ -130,11 +118,12 @@ def check_equivalence_preserved(tol: float = 1e-10) -> CheckResult:
     return CheckResult("equivalence_preserved", True, f"max residual {worst:.3e}")
 
 
-def enumerate_vertex_optimum(c, a_eq, b_eq, tol: float = 1e-9):
+def enumerate_vertex_optimum(c, a_eq, b_eq):
     """Brute-force LP oracle: scan all basic solutions of A x = b, x >= 0.
 
-    Returns (feasible, best objective). Only sound for bounded feasible
-    regions, which the callers arrange.
+    A basic solution counts when it is nonnegative and satisfies the rows to
+    within ``LP_TOL``. Returns (feasible, best objective). Only sound for
+    bounded feasible regions, which the callers arrange.
     """
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a_eq, dtype=float))
@@ -148,7 +137,7 @@ def enumerate_vertex_optimum(c, a_eq, b_eq, tol: float = 1e-9):
         xs, *_ = np.linalg.lstsq(sub, b, rcond=None)
         x = np.zeros(c.size)
         x[list(cols)] = xs
-        if np.min(xs) < -tol or np.max(np.abs(a @ x - b)) > tol:
+        if np.min(xs) < -LP_TOL or np.max(np.abs(a @ x - b)) > LP_TOL:
             continue
         value = float(c @ x)
         if best is None or value > best:
@@ -156,10 +145,10 @@ def enumerate_vertex_optimum(c, a_eq, b_eq, tol: float = 1e-9):
     return best is not None, best
 
 
-def check_lp_oracle(seed: int = 77, instances: int = 40, tol: float = 1e-9) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_lp_oracle() -> CheckResult:
+    rng = np.random.default_rng(LP_ORACLE_SEED)
     worst = 0.0
-    for i in range(instances):
+    for i in range(LP_ORACLE_INSTANCES):
         nvar = int(rng.integers(3, 7))
         extra = int(rng.integers(0, 3))
         x_feasible = rng.uniform(0.0, 1.0, size=nvar)
@@ -171,16 +160,16 @@ def check_lp_oracle(seed: int = 77, instances: int = 40, tol: float = 1e-9) -> C
         b = a @ x_feasible  # bounded: first row caps the simplex
         c = rng.normal(size=nvar)
         result = solve_lp(c, a, b)
-        feasible, best = enumerate_vertex_optimum(c, a, b, tol)
+        feasible, best = enumerate_vertex_optimum(c, a, b)
         if result.status != "optimal" or not feasible:
             return CheckResult("lp_vertex_oracle", False, f"instance {i}: status {result.status}")
         gap = abs(result.objective - best)
         worst = max(worst, gap)
-        if gap > tol:
+        if gap > LP_TOL:
             return CheckResult(
                 "lp_vertex_oracle", False, f"instance {i}: simplex {result.objective} vs vertices {best}"
             )
-    return CheckResult("lp_vertex_oracle", True, f"{instances} instances, max gap {worst:.3e}")
+    return CheckResult("lp_vertex_oracle", True, f"{LP_ORACLE_INSTANCES} instances, max gap {worst:.3e}")
 
 
 def run_all() -> list[CheckResult]:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensembles import all_bit_strings, build_preparation
-from .operators import ObservableSet, build_observables, identity, is_density_matrix
+from .ensembles import all_bit_strings, build_ensemble
+from .operators import build_observables, identity, is_density_matrix
 
 # run_sequence holds 2^n dense states of 4^(n//2) complex entries; this caps them at n <= 11.
 STATE_BYTES_BUDGET = 2**26
@@ -51,56 +51,46 @@ def theta_to_eta(theta: float) -> float:
     return eta
 
 
-def _observables_for(setting_n: int, observables: ObservableSet | None) -> ObservableSet:
-    if observables is None:
-        return build_observables(setting_n)
-    if observables.n != setting_n:
-        raise ValueError(f"observable set is for n={observables.n}, setting has n={setting_n}")
-    return observables
-
-
-def projector(setting: UnsharpSetting, observables: ObservableSet | None = None) -> np.ndarray:
+def projector(setting: UnsharpSetting) -> np.ndarray:
     """Sharp projector (1 + (-1)^b G_y) / 2 onto the outcome-b eigenspace."""
-    obs = _observables_for(setting.n, observables)
+    obs = build_observables(setting.n)
     sign = -1.0 if setting.b else 1.0
     return (identity(obs.dim) + sign * obs.observable(setting.y)) / 2.0
 
 
-def povm_element(setting: UnsharpSetting, observables: ObservableSet | None = None) -> np.ndarray:
+def povm_element(setting: UnsharpSetting) -> np.ndarray:
     """Unsharp POVM element (1 + (-1)^b eta G_y) / 2."""
-    obs = _observables_for(setting.n, observables)
+    obs = build_observables(setting.n)
     sign = -1.0 if setting.b else 1.0
     return (identity(obs.dim) + sign * setting.eta * obs.observable(setting.y)) / 2.0
 
 
-def kraus_operator(setting: UnsharpSetting, observables: ObservableSet | None = None) -> np.ndarray:
+def kraus_operator(setting: UnsharpSetting) -> np.ndarray:
     """Hermitian Kraus operator sqrt((1+eta)/2) P_b + sqrt((1-eta)/2) P_(1-b)."""
-    obs = _observables_for(setting.n, observables)
-    keep = projector(setting, obs)
-    flip = identity(obs.dim) - keep
+    keep = projector(setting)
+    flip = identity(keep.shape[0]) - keep
     return math.sqrt((1.0 + setting.eta) / 2.0) * keep + math.sqrt((1.0 - setting.eta) / 2.0) * flip
 
 
-def evolve_average(state: np.ndarray, eta: float, n: int, observables: ObservableSet | None = None) -> np.ndarray:
+def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     """Average post-measurement state over a uniform setting choice and both outcomes.
 
     Input must be a density matrix; the channel is trace preserving and unital.
     """
-    obs = _observables_for(n, observables)
+    build_observables(n)  # ValueError for a bad n; the loop alone would return 0/0 for n = 0
     if not is_density_matrix(state, tol=1e-8):
         raise ValueError("evolve_average requires a density matrix input")
     out = np.zeros_like(np.asarray(state, dtype=complex))
     for y in range(1, n + 1):
         for b in (0, 1):
-            k = kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta), obs)
+            k = kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta))
             out += k @ state @ k.conj().T
     return out / n
 
 
-def marginal_probability(state: np.ndarray, setting: UnsharpSetting, observables: ObservableSet | None = None) -> float:
+def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     """p(b | state, y) = Tr(state * E_y^b) for the unsharp POVM element."""
-    obs = _observables_for(setting.n, observables)
-    p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ povm_element(setting, obs))))
+    p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ povm_element(setting))))
     if p < -1e-10 or p > 1.0 + 1e-10:
         raise ValueError(f"marginal probability {p} outside [0, 1]; input is not a valid state")
     return min(max(p, 0.0), 1.0)
@@ -205,10 +195,9 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
             f"n={n} needs {state_bytes} bytes of dense states, above the {STATE_BYTES_BUDGET}-byte budget; "
             "visibility_chain gives the same witnesses in closed form"
         )
-    obs = build_observables(n)
     etas = tuple(float(e) for e in etas)
     strings = all_bit_strings(n)
-    states = [build_preparation(n, x, q, obs).rho for x in strings]
+    states = build_ensemble(n, q)
 
     tables = []
     for k, eta in enumerate(etas):
@@ -216,10 +205,10 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
         for ix, x in enumerate(strings):
             for y in range(1, n + 1):
                 setting = UnsharpSetting(n=n, y=y, b=int(x[y - 1]), eta=eta)
-                win[ix, y - 1] = marginal_probability(states[ix], setting, obs)
+                win[ix, y - 1] = marginal_probability(states[ix], setting)
         tables.append(MarginalTable(n=n, win=win))
         if k + 1 < len(etas):
-            states = [evolve_average(state, eta, n, obs) for state in states]
+            states = [evolve_average(state, eta, n) for state in states]
     return tables
 
 

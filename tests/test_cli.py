@@ -53,6 +53,9 @@ def test_sample_counts_validation():
     table = run_sequence(2, 1.0, [1.0])[0]
     with pytest.raises(ValueError):
         sample_counts(table, 0, seed=1)
+    with pytest.raises(ValueError):
+        sample_counts(table, 2**63, seed=1)
+    assert sample_counts(table, 2**63 - 1, seed=1).win.shape == table.win.shape
 
 
 # ---------------------------------------------------------------- commands
@@ -187,6 +190,15 @@ def test_sweep_count_at_limit_succeeds(capsys):
     assert len(report["results"]["rows"]) == 10000
 
 
+@pytest.mark.parametrize(
+    "argv,key", [(["chain", "--n", "1000"], "violations"), (["plan", "--m", "1000", "--q", "1"], "n")]
+)
+def test_planner_at_its_limit_succeeds(capsys, argv, key):
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["results"][key] == 1000
+
+
 def test_sweep_requires_mode_parameters(capsys):
     code, report = run_json(capsys, "sweep", "--mode", "noise", "--range", "0", "1", "3")
     assert code == 2
@@ -251,8 +263,36 @@ def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
         ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "10001"],
         ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "100000000"],
         ["witness", "--n", "30", "--etas", "0.5"],
+        ["sample", "--fixture", "observer1", "--trials", str(2**63)],
+        ["sample", "--fixture", "observer1", "--trials", str(10**30)],
+        ["chain", "--n", "1001"],
+        ["chain", "--n", str(10**400)],
+        ["plan", "--m", "100", "--q", "0.01"],
+        ["plan", "--m", str(10**400), "--q", "1"],
+        ["anonymous", "--n", str(10**400), "--optimize"],
+        ["anonymous", "--n", str(10**400), "--theta", "1.0"],
+        ["sweep", "--mode", "dimension", "--q", "1", "--range", "2", "1e300", "3"],
+        ["sweep", "--mode", "dimension", "--q", "1", "--range", "2", "nan", "3"],
     ],
-    ids=["negative-theta", "zero-trials", "zero-count", "inf-count", "count-10001", "count-1e8", "oversized-witness"],
+    ids=[
+        "negative-theta",
+        "zero-trials",
+        "zero-count",
+        "inf-count",
+        "count-10001",
+        "count-1e8",
+        "oversized-witness",
+        "trials-2e63",
+        "trials-1e30",
+        "chain-1001",
+        "chain-400-digits",
+        "plan-above-limit",
+        "plan-400-digits",
+        "anonymous-optimize-400-digits",
+        "anonymous-theta-400-digits",
+        "dimension-sweep-1e300",
+        "dimension-sweep-nan",
+    ],
 )
 def test_invalid_values_exit_2(capsys, argv):
     # each is refused up front, before any sized work starts

@@ -88,14 +88,14 @@ def test_family_algebra(n):
         assert is_unitary(g)
         assert abs(np.trace(g)) <= 1e-12
         np.testing.assert_allclose(g @ g, identity(family.dim), atol=1e-12)
-    report = verify_anticommutation(family, tol=1e-12)
+    report = verify_anticommutation(family)
     assert report.ok, report
 
 
 def test_verify_anticommutation_detects_failure():
     good = build_observables(2)
     broken = type(good)(n=2, dim=2, observables=(SIGMA_X, SIGMA_X))
-    report = verify_anticommutation(broken, tol=1e-12)
+    report = verify_anticommutation(broken)
     assert not report.ok
     # off-diagonal anticommutator is 2*sigma_x^2 = 2*identity
     assert report.max_residual == pytest.approx(2.0)
@@ -111,10 +111,15 @@ def test_observable_accessor_bounds():
         family.observable(4)
 
 
-@pytest.mark.parametrize("bad", [1, 0, -3])
+@pytest.mark.parametrize("bad", [1, 0, -3, 3.0, True, 2.5])
 def test_build_observables_rejects_small_n(bad):
+    # non-integers must not reach the cache and come back as the set for int(n)
     with pytest.raises(ValueError):
         build_observables(bad)
+
+
+def test_build_observables_returns_the_cached_set():
+    assert build_observables(5) is build_observables(5)
 
 
 def test_predicates_on_non_examples():

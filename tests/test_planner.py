@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqcontext.planner import (
+    MAX_CHAIN_N,
     anonymous_chain_length,
     anonymous_optimum,
     critical_chain,
@@ -49,6 +50,11 @@ def test_critical_chain_validation():
         critical_chain(1, 1.0)
     with pytest.raises(ValueError):
         critical_chain(3, 1.5)
+    with pytest.raises(ValueError):
+        critical_chain(MAX_CHAIN_N + 1, 1.0)
+    with pytest.raises(ValueError):
+        critical_chain(10**400, 1.0)
+    assert critical_chain(MAX_CHAIN_N, 1.0).violations == MAX_CHAIN_N
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -111,6 +117,16 @@ def test_min_dimension_validation():
         min_dimension_parameter(2, 0.0)
 
 
+@pytest.mark.parametrize("m,q", [(100, 0.01), (MAX_CHAIN_N + 1, 1.0), (10**400, 1.0), (3, 1e-200)])
+def test_min_dimension_refuses_sizes_above_the_chain_limit(m, q):
+    with pytest.raises(ValueError, match="limit"):
+        min_dimension_parameter(m, q)
+
+
+def test_min_dimension_at_the_chain_limit():
+    assert min_dimension_parameter(MAX_CHAIN_N, 1.0).n == MAX_CHAIN_N
+
+
 def test_min_dimension_matches_exhaustive_search():
     for m, q in [(1, 0.8), (2, 0.7), (3, 0.9), (2, 0.35)]:
         plan = min_dimension_parameter(m, q)
@@ -159,3 +175,11 @@ def test_anonymous_optimum_scaling():
 def test_anonymous_optimum_validation():
     with pytest.raises(ValueError):
         anonymous_optimum(2)
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**400])
+def test_anonymous_formulas_refuse_n_beyond_exact_floats(n):
+    with pytest.raises(ValueError):
+        anonymous_optimum(n)
+    with pytest.raises(ValueError):
+        anonymous_chain_length(n, 1.0)

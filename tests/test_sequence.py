@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqcontext import sequence
+from seqcontext import ensembles, sequence
 from seqcontext.ensembles import all_bit_strings, build_ensemble, build_preparation
 from seqcontext.operators import SIGMA_X, build_observables, identity
 from seqcontext.sequence import (
@@ -63,8 +63,8 @@ def test_povm_element_experimental_sharpness():
 def test_povm_properties(n, eta):
     obs = build_observables(n)
     for y in range(1, n + 1):
-        e0 = povm_element(UnsharpSetting(n=n, y=y, b=0, eta=eta), obs)
-        e1 = povm_element(UnsharpSetting(n=n, y=y, b=1, eta=eta), obs)
+        e0 = povm_element(UnsharpSetting(n=n, y=y, b=0, eta=eta))
+        e1 = povm_element(UnsharpSetting(n=n, y=y, b=1, eta=eta))
         np.testing.assert_allclose(e0 + e1, identity(obs.dim), atol=1e-14)
         for e in (e0, e1):
             values = np.linalg.eigvalsh(e)
@@ -94,15 +94,15 @@ def test_kraus_consistency(n, eta):
         total = np.zeros((obs.dim, obs.dim), dtype=complex)
         for b in (0, 1):
             setting = UnsharpSetting(n=n, y=y, b=b, eta=eta)
-            k = kraus_operator(setting, obs)
+            k = kraus_operator(setting)
             np.testing.assert_allclose(k, k.conj().T, atol=1e-14)
-            np.testing.assert_allclose(k.conj().T @ k, povm_element(setting, obs), atol=1e-12)
+            np.testing.assert_allclose(k.conj().T @ k, povm_element(setting), atol=1e-12)
             total += k.conj().T @ k
         np.testing.assert_allclose(total, identity(obs.dim), atol=1e-12)
 
 
 def test_evolve_average_trivial_channel():
-    rho = build_preparation(3, "010", 0.9).rho
+    rho = build_preparation(3, "010", 0.9)
     np.testing.assert_allclose(evolve_average(rho, 0.0, 3), rho, atol=1e-14)
 
 
@@ -112,7 +112,7 @@ def test_evolve_average_fixed_point():
 
 
 def test_evolve_average_matches_quality_factor():
-    rho = build_preparation(3, "000", 1.0).rho
+    rho = build_preparation(3, "000", 1.0)
     mix = identity(2) / 2
     evolved = evolve_average(rho, 0.6441, 3)
     np.testing.assert_allclose(evolved, F_3_06441 * rho + (1 - F_3_06441) * mix, atol=1e-12)
@@ -126,7 +126,7 @@ def test_evolve_average_preserves_trace_and_hermiticity():
             raw = rng.normal(size=(obs.dim, obs.dim)) + 1j * rng.normal(size=(obs.dim, obs.dim))
             rho = raw @ raw.conj().T
             rho /= np.trace(rho)
-            out = evolve_average(rho, float(rng.uniform()), n, obs)
+            out = evolve_average(rho, float(rng.uniform()), n)
             assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
 
@@ -138,8 +138,14 @@ def test_evolve_average_rejects_non_density_input():
         evolve_average(np.array([[1.5, 0], [0, -0.5]]), 0.5, 3)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3.0])
+def test_evolve_average_rejects_invalid_n(n):
+    with pytest.raises(ValueError):
+        evolve_average(identity(2) / 2, 0.5, n)
+
+
 def test_marginal_probability_values():
-    rho = build_preparation(3, "000", 1.0).rho
+    rho = build_preparation(3, "000", 1.0)
     sharp = marginal_probability(rho, UnsharpSetting(n=3, y=1, b=0, eta=1.0))
     assert sharp == pytest.approx(MAX_WITNESS_3, abs=1e-12)
     unsharp = marginal_probability(rho, UnsharpSetting(n=3, y=1, b=0, eta=0.6441))
@@ -150,13 +156,12 @@ def test_marginal_probability_values():
 
 def test_marginal_outcomes_sum_to_one():
     rng = np.random.default_rng(5)
-    obs = build_observables(4)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = raw @ raw.conj().T
     rho /= np.trace(rho)
     for y in range(1, 5):
-        p0 = marginal_probability(rho, UnsharpSetting(n=4, y=y, b=0, eta=0.8), obs)
-        p1 = marginal_probability(rho, UnsharpSetting(n=4, y=y, b=1, eta=0.8), obs)
+        p0 = marginal_probability(rho, UnsharpSetting(n=4, y=y, b=0, eta=0.8))
+        p1 = marginal_probability(rho, UnsharpSetting(n=4, y=y, b=1, eta=0.8))
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -223,6 +228,7 @@ def test_run_sequence_refuses_sizes_above_budget(monkeypatch):
         raise AssertionError("build_observables ran for an oversized chain")
 
     monkeypatch.setattr(sequence, "build_observables", unexpected)
+    monkeypatch.setattr(ensembles, "build_observables", unexpected)
     with pytest.raises(ValueError, match="visibility_chain"):
         run_sequence(12, 1.0, [0.5])
     with pytest.raises(ValueError, match="visibility_chain"):
@@ -256,28 +262,19 @@ def test_lemma_states_along_chain(n):
     etas = [float(e) for e in rng.uniform(0.0, 1.0, size=n)]
     plan = visibility_chain(n, q, etas)
     for x in all_bit_strings(n):
-        pure = build_preparation(n, x, 1.0, obs).rho
-        state = build_preparation(n, x, q, obs).rho
+        pure = build_preparation(n, x, 1.0)
+        state = build_preparation(n, x, q)
         for k, eta in enumerate(etas):
             expected = plan.visibilities[k] * pure + (1 - plan.visibilities[k]) * mix
             np.testing.assert_allclose(state, expected, atol=1e-9)
-            state = evolve_average(state, eta, n, obs)
+            state = evolve_average(state, eta, n)
 
 
 def test_evolved_ensemble_keeps_operational_equivalence():
-    from seqcontext.ensembles import Ensemble, Preparation, check_operational_equivalence
+    from seqcontext.ensembles import check_operational_equivalence
 
-    ensemble = build_ensemble(3, 0.9)
-    obs = build_observables(3)
-    evolved = Ensemble(
-        n=3,
-        q=0.9,
-        preparations=tuple(
-            Preparation(x=p.x, rho=evolve_average(p.rho, 0.6441, 3, obs)) for p in ensemble.preparations
-        ),
-        mix=ensemble.mix,
-    )
-    report = check_operational_equivalence(evolved, tol=1e-10)
+    evolved = [evolve_average(rho, 0.6441, 3) for rho in build_ensemble(3, 0.9)]
+    report = check_operational_equivalence(evolved)
     assert report.passed
 
 
