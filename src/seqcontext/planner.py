@@ -145,7 +145,9 @@ def anonymous_chain_length(n: int, theta: float) -> float:
     numerator = math.log(s) + 0.5 * math.log(n)
     if numerator <= 0.0:
         return 1.0
-    denominator = math.log(1.0 + (n - 1) * math.cos(theta)) - math.log(n)
+    # log((1 + (n-1) cos theta) / n) in log1p form: 1 - cos theta = 2 sin^2(theta/2) keeps it from
+    # rounding to 0 where cos theta is within an ulp of 1 (theta near asin(1/sqrt(n)), n above ~1e12).
+    denominator = math.log1p(-2.0 * (n - 1) / n * math.sin(theta / 2) ** 2)
     return 1.0 - numerator / denominator
 
 

@@ -12,15 +12,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .ensembles import all_bit_strings, build_ensemble
+from .ensembles import all_bit_strings, build_preparation
 from .operators import build_observables, identity, is_density_matrix
 
-# run_sequence holds 2^n dense states of 4^(n//2) complex entries; this caps them at n <= 11.
+# Bounds the dense simulation's work: run_sequence builds and evolves 2^n states of
+# 4^(n//2) complex entries, one after another; 2^n of them would fill this at n <= 11.
 STATE_BYTES_BUDGET = 2**26
+# (n, eta) instruments kept by _instrument; a chain's observers each use one.
+INSTRUMENT_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -72,25 +76,66 @@ def kraus_operator(setting: UnsharpSetting) -> np.ndarray:
     return math.sqrt((1.0 + setting.eta) / 2.0) * keep + math.sqrt((1.0 - setting.eta) / 2.0) * flip
 
 
+class _Instrument:
+    """Matrices of the unsharp instrument for one (n, eta), each built on first use with
+    the public constructors above and kept read-only."""
+
+    def __init__(self, n: int, eta):
+        self.n = n
+        self.eta = eta
+        self._kraus = None
+        # Indexed by y - 1 like the observable tuple, so a non-integer y fails as it does there.
+        self._povm = tuple([None, None] for _ in range(n))
+
+    def kraus_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(K, conj(K)) for y = 1..n and b = 0, 1, in that order."""
+        if self._kraus is None:
+            pairs = []
+            for y in range(1, self.n + 1):
+                for b in (0, 1):
+                    k = _read_only(kraus_operator(UnsharpSetting(n=self.n, y=y, b=b, eta=self.eta)))
+                    pairs.append((k, _read_only(k.conj())))
+            self._kraus = tuple(pairs)
+        return self._kraus
+
+    def povm(self, setting: UnsharpSetting) -> np.ndarray:
+        elements = self._povm[setting.y - 1]
+        b = 1 if setting.b else 0
+        if elements[b] is None:
+            elements[b] = _read_only(povm_element(setting))
+        return elements[b]
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
+
+
+@lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
+def _instrument(n: int, eta) -> _Instrument:
+    # typed: n = 3.0 or eta = 1 never share an entry with n = 3 or eta = 1.0, so
+    # each still meets the checks of build_observables and UnsharpSetting on its own.
+    build_observables(n)
+    return _Instrument(n, eta)
+
+
 def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     """Average post-measurement state over a uniform setting choice and both outcomes.
 
     Input must be a density matrix; the channel is trace preserving and unital.
     """
-    build_observables(n)  # ValueError for a bad n; the loop alone would return 0/0 for n = 0
+    build_observables(n)  # ValueError for a bad n, before the state is checked
     if not is_density_matrix(state, tol=1e-8):
         raise ValueError("evolve_average requires a density matrix input")
     out = np.zeros_like(np.asarray(state, dtype=complex))
-    for y in range(1, n + 1):
-        for b in (0, 1):
-            k = kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta))
-            out += k @ state @ k.conj().T
+    for k, kc in _instrument(n, eta).kraus_pairs():
+        out += k @ state @ kc.T
     return out / n
 
 
 def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     """p(b | state, y) = Tr(state * E_y^b) for the unsharp POVM element."""
-    p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ povm_element(setting))))
+    p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ _instrument(setting.n, setting.eta).povm(setting))))
     if p < -1e-10 or p > 1.0 + 1e-10:
         raise ValueError(f"marginal probability {p} outside [0, 1]; input is not a valid state")
     return min(max(p, 0.0), 1.0)
@@ -186,30 +231,30 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
     """Simulate the full observer chain, one marginal table per observer.
 
     Observer k receives each preparation evolved through the k-1 preceding
-    averaged channels, then measures at sharpness etas[k-1]. Sizes whose
-    states exceed ``STATE_BYTES_BUDGET`` are refused before anything is built.
+    averaged channels, then measures at sharpness etas[k-1]. Each preparation
+    is built and carried through the whole chain before the next, so one
+    state is held at a time. Sizes whose 2^n states together exceed
+    ``STATE_BYTES_BUDGET`` are refused before anything is built.
     """
     state_bytes = 2**n * 4 ** (n // 2) * 16
     if state_bytes > STATE_BYTES_BUDGET:
         raise ValueError(
-            f"n={n} needs {state_bytes} bytes of dense states, above the {STATE_BYTES_BUDGET}-byte budget; "
-            "visibility_chain gives the same witnesses in closed form"
+            f"n={n} would simulate 2^n states totalling {state_bytes} bytes, above the "
+            f"{STATE_BYTES_BUDGET}-byte budget; visibility_chain gives the same witnesses in closed form"
         )
     etas = tuple(float(e) for e in etas)
-    strings = all_bit_strings(n)
-    states = build_ensemble(n, q)
+    # settings[k][y - 1][b]: observer k + 1's measurement of setting y with outcome b
+    settings = [[[UnsharpSetting(n=n, y=y, b=b, eta=eta) for b in (0, 1)] for y in range(1, n + 1)] for eta in etas]
 
-    tables = []
-    for k, eta in enumerate(etas):
-        win = np.empty((2**n, n))
-        for ix, x in enumerate(strings):
+    wins = [np.empty((2**n, n)) for _ in etas]
+    for ix, x in enumerate(all_bit_strings(n)):
+        state = build_preparation(n, x, q)
+        for k, eta in enumerate(etas):
             for y in range(1, n + 1):
-                setting = UnsharpSetting(n=n, y=y, b=int(x[y - 1]), eta=eta)
-                win[ix, y - 1] = marginal_probability(states[ix], setting)
-        tables.append(MarginalTable(n=n, win=win))
-        if k + 1 < len(etas):
-            states = [evolve_average(state, eta, n) for state in states]
-    return tables
+                wins[k][ix, y - 1] = marginal_probability(state, settings[k][y - 1][int(x[y - 1])])
+            if k + 1 < len(etas):
+                state = evolve_average(state, eta, n)
+    return [MarginalTable(n=n, win=win) for win in wins]
 
 
 def read_marginal_csv(path) -> MarginalTable:

@@ -105,6 +105,12 @@ def test_anonymous_command(capsys):
     assert report["results"]["k"] > 1.0
 
 
+def test_anonymous_optimize_at_large_n(capsys):
+    code, report = run_json(capsys, "anonymous", "--n", str(10**15), "--optimize")
+    assert code == 0
+    assert report["results"]["k_star"] == pytest.approx(10**15 / np.e, rel=1e-3)
+
+
 def test_anonymous_requires_exactly_one_mode(capsys):
     code, report = run_json(capsys, "anonymous", "--n", "3")
     assert code == 2

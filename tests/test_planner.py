@@ -172,6 +172,12 @@ def test_anonymous_optimum_scaling():
         assert opt.k_star / (n / math.e) == pytest.approx(1.0, abs=tol)
 
 
+@pytest.mark.parametrize("n", [10**12, 10**15, 2**53])
+def test_anonymous_optimum_scaling_at_large_n(n):
+    # Near the lower edge of the angle grid cos(theta) is within an ulp of 1 here.
+    assert anonymous_optimum(n).k_star * math.e / n == pytest.approx(1.0, abs=1e-3)
+
+
 def test_anonymous_optimum_validation():
     with pytest.raises(ValueError):
         anonymous_optimum(2)

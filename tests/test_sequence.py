@@ -223,7 +223,7 @@ def test_run_sequence_second_observer_after_sharp():
 
 
 def test_run_sequence_refuses_sizes_above_budget(monkeypatch):
-    # n = 12 would hold 268 MB of dense states; the guard fires before anything is built
+    # n = 12 would simulate 2^12 states of 268 MB in total; the guard fires before anything is built
     def unexpected(n):
         raise AssertionError("build_observables ran for an oversized chain")
 
@@ -316,3 +316,64 @@ def test_csv_rejects_duplicates(tmp_path):
 def test_closed_form_witness_consistency():
     assert closed_form_witness(3, 1.0, 1.0) == pytest.approx(MAX_WITNESS_3)
     assert closed_form_witness(3, 0.0, 1.0) == 0.5
+
+
+def _reference_sequence(n, q, etas):
+    # No instrument cache: every entry from a fresh POVM element, every step an
+    # explicit Kraus sum, each observer's table over all states in turn.
+    states = build_ensemble(n, q)
+    wins = []
+    for k, eta in enumerate(etas):
+        win = np.empty((2**n, n))
+        for ix, x in enumerate(all_bit_strings(n)):
+            for y in range(1, n + 1):
+                element = povm_element(UnsharpSetting(n=n, y=y, b=int(x[y - 1]), eta=eta))
+                win[ix, y - 1] = min(max(float(np.real(np.trace(states[ix] @ element))), 0.0), 1.0)
+        wins.append(win)
+        if k + 1 < len(etas):
+            evolved = []
+            for state in states:
+                out = np.zeros_like(state)
+                for y in range(1, n + 1):
+                    for b in (0, 1):
+                        kraus = kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta))
+                        out += kraus @ state @ kraus.conj().T
+                evolved.append(out / n)
+            states = evolved
+    return wins
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_run_sequence_is_bit_identical_to_fresh_instruments(n):
+    # Ten etas, nine distinct, more than the instrument cache holds: hits, misses and evictions.
+    etas = [0.3, 0.45, 0.6, 0.72, 0.81, 0.9, 0.55, 0.66, 0.38, 0.3]
+    assert len(set(etas)) > sequence.INSTRUMENT_CACHE_SIZE
+    for _ in range(2):
+        tables = run_sequence(n, 0.93, etas)
+        for table, win in zip(tables, _reference_sequence(n, 0.93, etas), strict=True):
+            assert np.array_equal(table.win, win)
+
+
+def test_cached_instruments_keep_the_input_checks():
+    rho = build_preparation(3, "010", 0.9)
+    marginal_probability(rho, UnsharpSetting(n=3, y=1, b=0, eta=0.5))
+    with pytest.raises(ValueError):
+        marginal_probability(rho, UnsharpSetting(n=3.0, y=1, b=0, eta=0.5))
+    evolve_average(rho, 0.5, 3)
+    with pytest.raises(ValueError):
+        evolve_average(rho, 1.5, 3)
+    with pytest.raises(ValueError):
+        evolve_average(rho, 1.5, 3)
+
+
+def test_returned_instrument_matrices_are_callers_own():
+    rho = build_preparation(4, "0110", 0.8)
+    setting = UnsharpSetting(n=4, y=2, b=1, eta=0.7)
+    p = marginal_probability(rho, setting)
+    evolved = evolve_average(rho, 0.7, 4)
+    povm_element(setting)[:] = 0.0
+    for y in range(1, 5):
+        for b in (0, 1):
+            kraus_operator(UnsharpSetting(n=4, y=y, b=b, eta=0.7))[:] = 0.0
+    assert marginal_probability(rho, setting) == p
+    assert np.array_equal(evolve_average(rho, 0.7, 4), evolved)
