@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, planner
+from .ensembles import all_bit_strings
 from .equivalence_lp import enforce_equivalences
 from .planner import anonymous_chain_length, anonymous_optimum, critical_chain, max_shared_observers, min_dimension_parameter
 from .sampling import sample_counts
@@ -182,9 +183,9 @@ def _cmd_lp(args) -> int:
         with Path(args.output).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "p0"])
-            for ix in range(2**table.n):
+            for ix, x in enumerate(all_bit_strings(table.n)):
                 for y in range(1, table.n + 1):
-                    writer.writerow([format(ix, f"0{table.n}b"), y, repr(float(rows[ix, y - 1]))])
+                    writer.writerow([x, y, repr(float(rows[ix, y - 1]))])
     _emit("lp", {"input": source, "n": table.n}, payload, residuals)
     return 0
 

@@ -19,6 +19,9 @@ from .simplex import solve_lp
 
 PRIMARY_OBJECTIVE_SLACK = 1e-9
 PARITY_RESIDUAL_TOL = 1e-8
+# Largest n the dense simplex solves: an exact n = 4 table takes under a second, n = 5
+# ran past two minutes, and the (2^n + n(2^n - n - 1)) x 4^n program grows to 94 GB at n = 10.
+MAX_LP_N = 4
 
 
 @dataclass(frozen=True)
@@ -101,22 +104,11 @@ class LPResult:
 def _build_program(p0: np.ndarray, n: int):
     """Assemble the equality system and witness objective over flattened w[x, x']."""
     size = 2**n
-    nvar = size * size
     signs = _constraint_signs(n)
-    n_parity = signs.shape[0]
-
-    rows = np.zeros((size + n_parity * n, nvar))
-    rhs = np.zeros(size + n_parity * n)
-    for x in range(size):
-        rows[x, x * size : (x + 1) * size] = 1.0
-        rhs[x] = 1.0
-    row = size
-    for ir in range(n_parity):
-        for y in range(n):
-            for x in range(size):
-                rows[row, x * size : (x + 1) * size] = signs[ir, x] * p0[:, y]
-            row += 1
-
+    # Row (r, y) holds (-1)^(r.x) p0[x', y] at column x * size + x', one exact product each.
+    parity = (signs[:, None, :, None] * p0.T[None, :, None, :]).reshape(-1, size * size)
+    rows = np.concatenate([np.kron(np.eye(size), np.ones(size)), parity])
+    rhs = np.concatenate([np.ones(size), np.zeros(parity.shape[0])])
     coeff_per_source = p0 @ _setting_signs(n) / (n * size)  # [x', x]
     c = coeff_per_source.T.reshape(-1)
     return c, rows, rhs
@@ -129,9 +121,12 @@ def enforce_equivalences(table: MarginalTable) -> LPResult:
     infeasible. A second solve then maximizes F among weight matrices whose
     witness is within 1e-9 of the optimum, making the reported omega
     deterministic and minimally distorting; if that solve is not optimal, the
-    primary solution is kept.
+    primary solution is kept. Tables with n above ``MAX_LP_N`` raise ValueError
+    before the program is built.
     """
     n = table.n
+    if n > MAX_LP_N:
+        raise ValueError(f"n={n} is above MAX_LP_N={MAX_LP_N}, the largest table the dense linear program solves")
     size = 2**n
     p0 = winning_to_outcome(table.win)
     a_pre = witness(table)

@@ -2,7 +2,7 @@
 
 Everything here works on plain ``numpy`` complex arrays. Matrices returned by
 the constructors are marked read-only so they can be shared (and cached)
-safely; algebraic properties such as Hermiticity or unitarity are never
+safely; algebraic properties such as Hermiticity or positivity are never
 assumed, only checked against an explicit tolerance.
 """
 
@@ -52,11 +52,6 @@ def tensor_product(a, b) -> np.ndarray:
 def is_hermitian(matrix, tol: float = DEFAULT_TOL) -> bool:
     m = _as_square(matrix)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_unitary(matrix, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_square(matrix)
-    return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= tol)
 
 
 def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:

@@ -76,47 +76,19 @@ def kraus_operator(setting: UnsharpSetting) -> np.ndarray:
     return math.sqrt((1.0 + setting.eta) / 2.0) * keep + math.sqrt((1.0 - setting.eta) / 2.0) * flip
 
 
-class _Instrument:
-    """Matrices of the unsharp instrument for one (n, eta), each built on first use with
-    the public constructors above and kept read-only."""
-
-    def __init__(self, n: int, eta):
-        self.n = n
-        self.eta = eta
-        self._kraus = None
-        # Indexed by y - 1 like the observable tuple, so a non-integer y fails as it does there.
-        self._povm = tuple([None, None] for _ in range(n))
-
-    def kraus_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(K, conj(K)) for y = 1..n and b = 0, 1, in that order."""
-        if self._kraus is None:
-            pairs = []
-            for y in range(1, self.n + 1):
-                for b in (0, 1):
-                    k = _read_only(kraus_operator(UnsharpSetting(n=self.n, y=y, b=b, eta=self.eta)))
-                    pairs.append((k, _read_only(k.conj())))
-            self._kraus = tuple(pairs)
-        return self._kraus
-
-    def povm(self, setting: UnsharpSetting) -> np.ndarray:
-        elements = self._povm[setting.y - 1]
-        b = 1 if setting.b else 0
-        if elements[b] is None:
-            elements[b] = _read_only(povm_element(setting))
-        return elements[b]
-
-
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    matrix.setflags(write=False)
-    return matrix
-
-
 @lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
-def _instrument(n: int, eta) -> _Instrument:
+def _instrument(n: int, eta) -> tuple[tuple, tuple]:
+    """Read-only matrices of the unsharp instrument for one (n, eta), built with the public
+    constructors above: the 2n pairs (K, conj(K)) in y, b order, and the POVM elements [y - 1][b]."""
     # typed: n = 3.0 or eta = 1 never share an entry with n = 3 or eta = 1.0, so
     # each still meets the checks of build_observables and UnsharpSetting on its own.
     build_observables(n)
-    return _Instrument(n, eta)
+    settings = [[UnsharpSetting(n=n, y=y, b=b, eta=eta) for b in (0, 1)] for y in range(1, n + 1)]
+    pairs = tuple((k, k.conj()) for k in (kraus_operator(s) for row in settings for s in row))
+    povm = tuple(tuple(povm_element(s) for s in row) for row in settings)
+    for matrix in sum(pairs + povm, ()):
+        matrix.setflags(write=False)
+    return pairs, povm
 
 
 def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
@@ -128,14 +100,15 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     if not is_density_matrix(state, tol=1e-8):
         raise ValueError("evolve_average requires a density matrix input")
     out = np.zeros_like(np.asarray(state, dtype=complex))
-    for k, kc in _instrument(n, eta).kraus_pairs():
+    for k, kc in _instrument(n, eta)[0]:
         out += k @ state @ kc.T
     return out / n
 
 
 def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     """p(b | state, y) = Tr(state * E_y^b) for the unsharp POVM element."""
-    p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ _instrument(setting.n, setting.eta).povm(setting))))
+    element = _instrument(setting.n, setting.eta)[1][setting.y - 1][int(setting.b)]
+    p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ element)))
     if p < -1e-10 or p > 1.0 + 1e-10:
         raise ValueError(f"marginal probability {p} outside [0, 1]; input is not a valid state")
     return min(max(p, 0.0), 1.0)

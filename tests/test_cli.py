@@ -144,6 +144,22 @@ def test_lp_missing_input(capsys):
     assert "error" in report
 
 
+def test_lp_refuses_tables_above_max_lp_n(capsys, monkeypatch, tmp_path):
+    def unreachable(*args):
+        raise AssertionError("a table above MAX_LP_N reached the program")
+
+    monkeypatch.setattr(equivalence_lp, "_build_program", unreachable)
+    n = equivalence_lp.MAX_LP_N + 1
+    path = tmp_path / "n5.csv"
+    rows = [f"{format(ix, f'0{n}b')},{y},0.5" for ix in range(2**n) for y in range(1, n + 1)]
+    path.write_text("\n".join(["x,y,p_win", *rows]) + "\n")
+    start = time.perf_counter()
+    code, report = run_json(capsys, "lp", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert_error_only(code, report, 2)
+    assert "MAX_LP_N" in report["error"]["message"]
+
+
 def test_sample_command_round_trip(capsys, tmp_path):
     out = tmp_path / "sampled.csv"
     code, report = run_json(

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,28 @@ def test_json_dict_shape():
     assert set(payload) == {"a_pre", "a_post", "F_raw", "F_normalized", "status", "residuals", "omega"}
     assert payload["status"] == "optimal"
     assert len(payload["omega"]) == 8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_build_program_matches_kron_rows(n):
+    size = 2**n
+    p0 = np.random.default_rng(n).uniform(0.0, 1.0, size=(size, n))
+    signs = equivalence_lp._constraint_signs(n)
+    expected = [np.kron(np.eye(size)[x], np.ones(size)) for x in range(size)]
+    expected += [np.kron(signs[r], p0[:, y]) for r in range(signs.shape[0]) for y in range(n)]
+    _, rows, rhs = equivalence_lp._build_program(p0, n)
+    assert np.array_equal(rows, np.array(expected))
+    assert np.array_equal(rhs, np.r_[np.ones(size), np.zeros(len(expected) - size)])
+
+
+def test_tables_above_max_lp_n_are_refused_before_any_work(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a table above MAX_LP_N reached the program")
+
+    monkeypatch.setattr(equivalence_lp, "winning_to_outcome", unreachable)
+    monkeypatch.setattr(equivalence_lp, "_build_program", unreachable)
+    n = equivalence_lp.MAX_LP_N + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_LP_N"):
+        enforce_equivalences(MarginalTable(n=n, win=np.full((2**n, n), 0.5)))
+    assert time.perf_counter() - start < 1.0

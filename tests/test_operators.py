@@ -10,7 +10,6 @@ from seqcontext.operators import (
     identity,
     is_hermitian,
     is_positive_semidefinite,
-    is_unitary,
     tensor_product,
     verify_anticommutation,
 )
@@ -85,7 +84,6 @@ def test_family_algebra(n):
     assert len(family.observables) == n
     for g in family:
         assert is_hermitian(g)
-        assert is_unitary(g)
         assert abs(np.trace(g)) <= 1e-12
         np.testing.assert_allclose(g @ g, identity(family.dim), atol=1e-12)
     report = verify_anticommutation(family)
@@ -124,6 +122,5 @@ def test_build_observables_returns_the_cached_set():
 
 def test_predicates_on_non_examples():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
-    assert not is_unitary(2 * np.eye(2))
     assert not is_positive_semidefinite(-np.eye(2))
     assert is_positive_semidefinite(np.diag([1.0, 0.0]))

@@ -343,7 +343,7 @@ def _reference_sequence(n, q, etas):
     return wins
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_run_sequence_is_bit_identical_to_fresh_instruments(n):
     # Ten etas, nine distinct, more than the instrument cache holds: hits, misses and evictions.
     etas = [0.3, 0.45, 0.6, 0.72, 0.81, 0.9, 0.55, 0.66, 0.38, 0.3]
@@ -377,3 +377,9 @@ def test_returned_instrument_matrices_are_callers_own():
             kraus_operator(UnsharpSetting(n=4, y=y, b=b, eta=0.7))[:] = 0.0
     assert marginal_probability(rho, setting) == p
     assert np.array_equal(evolve_average(rho, 0.7, 4), evolved)
+
+
+def test_cached_instrument_matrices_are_read_only():
+    pairs, povm = sequence._instrument(3, 0.5)
+    assert len(pairs) == 6 and all(len(row) == 2 for row in povm) and len(povm) == 3
+    assert not any(matrix.flags.writeable for matrix in sum(pairs + povm, ()))
