@@ -16,6 +16,7 @@ from .ensembles import (
     parity_signs,
     parity_strings,
     partial_trace_construction,
+    setting_signs,
     signed_observable_sum,
 )
 from .equivalence_lp import (
@@ -115,6 +116,7 @@ __all__ = [
     "read_marginal_csv",
     "run_sequence",
     "sample_counts",
+    "setting_signs",
     "signed_observable_sum",
     "solve_lp",
     "tensor_product",

@@ -41,6 +41,11 @@ def parity_signs(n: int) -> np.ndarray:
     return signs
 
 
+def setting_signs(n: int) -> np.ndarray:
+    """sign[y, x] = (-1)^(x_y), setting y counted from the left bit: the weight-1 rows of ``parity_signs``."""
+    return 1.0 - 2.0 * ((np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+
+
 def _validate_bits(x: str, n: int) -> str:
     if not isinstance(x, str) or len(x) != n or any(c not in "01" for c in x):
         raise ValueError(f"x must be a bit string of length {n}, got {x!r}")
@@ -67,9 +72,19 @@ def build_preparation(n: int, x: str, q: float) -> np.ndarray:
     return (identity(obs.dim) + q * signed_observable_sum(obs, x)) / obs.dim
 
 
-def build_ensemble(n: int, q: float) -> list[np.ndarray]:
-    """All 2^n preparations at visibility q, in binary order of x."""
-    return [build_preparation(n, x, q) for x in all_bit_strings(n)]
+def build_ensemble(n: int, q: float) -> np.ndarray:
+    """All 2^n preparations at visibility q as one (2^n, dim, dim) stack, in binary order of x.
+
+    Each slice comes from the same elementwise operations, in the same order, as
+    ``build_preparation``, so it is bit-equal to that call.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"visibility q must lie in [0, 1], got {q}")
+    obs = build_observables(n)
+    acc = np.zeros((2**n, obs.dim, obs.dim), dtype=complex)
+    for sign, g in zip(setting_signs(n), obs.observables):
+        acc += sign[:, None, None] * g
+    return (identity(obs.dim) + q * (acc / np.sqrt(n))) / obs.dim
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import parity_signs, parity_strings
+from .ensembles import parity_signs, parity_strings, setting_signs
 from .sequence import MarginalTable, witness
 from .simplex import solve_lp
 
@@ -53,11 +53,6 @@ def normalized_closeness(weights: WeightMatrix) -> float:
     return closeness(weights) / 2**weights.n
 
 
-def _setting_signs(n: int) -> np.ndarray:
-    """sign[y, x] = (-1)^(x_y): the weight-1 rows of ``parity_signs``, setting y from the left."""
-    return parity_signs(n)[[2 ** (n - 1 - y) for y in range(n)]]
-
-
 def _constraint_signs(n: int) -> np.ndarray:
     """Rows of ``parity_signs`` for the hidden parities |r| >= 2, in increasing r."""
     return parity_signs(n)[[int(r, 2) for r in parity_strings(n)]]
@@ -69,7 +64,7 @@ def winning_to_outcome(p: np.ndarray) -> np.ndarray:
     The winning outcome for setting y is bit y of x, so entries whose bit is 1
     become 1 - p and the others are kept.
     """
-    return np.where(_setting_signs(p.shape[1]).T > 0, p, 1.0 - p)
+    return np.where(setting_signs(p.shape[1]).T > 0, p, 1.0 - p)
 
 
 def parity_residual(p0: np.ndarray, n: int) -> float:
@@ -109,7 +104,7 @@ def _build_program(p0: np.ndarray, n: int):
     parity = (signs[:, None, :, None] * p0.T[None, :, None, :]).reshape(-1, size * size)
     rows = np.concatenate([np.kron(np.eye(size), np.ones(size)), parity])
     rhs = np.concatenate([np.ones(size), np.zeros(parity.shape[0])])
-    coeff_per_source = p0 @ _setting_signs(n) / (n * size)  # [x', x]
+    coeff_per_source = p0 @ setting_signs(n) / (n * size)  # [x', x]
     c = coeff_per_source.T.reshape(-1)
     return c, rows, rhs
 

@@ -35,10 +35,11 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def _as_square(matrix, name: str = "matrix") -> np.ndarray:
+def _as_square(matrix, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square 2-D array, got shape {m.shape}")
+    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
+        shape = "(..., d, d)" if stacked else "square 2-D"
+        raise ValueError(f"{name} must be a {shape} array, got shape {m.shape}")
     return m
 
 
@@ -49,22 +50,21 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+# The three predicates take one d x d matrix or a (..., d, d) stack, and hold only when every slice passes.
 def is_hermitian(matrix, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_square(matrix)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    m = _as_square(matrix, stacked=True)
+    return bool(abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= tol)
 
 
 def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:
     """Hermitian with smallest eigenvalue >= -tol."""
-    m = _as_square(matrix)
-    if not is_hermitian(m, max(tol, DEFAULT_TOL)):
-        return False
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol)
+    m = _as_square(matrix, stacked=True)
+    return is_hermitian(m, max(tol, DEFAULT_TOL)) and bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
 
 
 def is_density_matrix(matrix, tol: float = 1e-10) -> bool:
-    m = _as_square(matrix)
-    if abs(np.trace(m) - 1.0) > tol:
+    m = _as_square(matrix, stacked=True)
+    if abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) > tol:
         return False
     return is_positive_semidefinite(m, tol)
 

@@ -94,7 +94,8 @@ def _instrument(n: int, eta) -> tuple[tuple, tuple]:
 def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     """Average post-measurement state over a uniform setting choice and both outcomes.
 
-    Input must be a density matrix; the channel is trace preserving and unital.
+    Input must be a density matrix or a (..., dim, dim) stack of them, each slice
+    evolved exactly as alone; the channel is trace preserving and unital.
     """
     build_observables(n)  # ValueError for a bad n, before the state is checked
     if not is_density_matrix(state, tol=1e-8):

@@ -9,6 +9,7 @@ from seqcontext.ensembles import (
     parity_signs,
     parity_strings,
     partial_trace_construction,
+    setting_signs,
     signed_observable_sum,
 )
 from seqcontext.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, build_observables, identity
@@ -33,6 +34,25 @@ def test_parity_signs_match_popcount_definition(n):
     expected = np.array([[(-1.0) ** bin(r & x).count("1") for x in range(size)] for r in range(size)])
     np.testing.assert_array_equal(signs, expected)
     np.testing.assert_array_equal(signs @ signs, size * np.eye(size))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_setting_signs_are_the_weight_one_rows_of_parity_signs(n):
+    expected = parity_signs(n)[[2 ** (n - 1 - y) for y in range(n)]]
+    assert np.array_equal(setting_signs(n), expected)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_build_ensemble_stack_is_bit_equal_to_build_preparation(n):
+    for q in (1.0, 0.6441, 0.123456789):
+        stack = build_ensemble(n, q)
+        assert stack.shape == (2**n, 2 ** (n // 2), 2 ** (n // 2))
+        assert np.array_equal(stack, np.array([build_preparation(n, x, q) for x in all_bit_strings(n)]))
+
+
+def test_build_ensemble_validates_q():
+    with pytest.raises(ValueError):
+        build_ensemble(3, 1.5)
 
 
 def test_preparation_bloch_vectors_n3():

@@ -54,6 +54,17 @@ def test_conversion_round_trip():
     np.testing.assert_allclose(winning_to_outcome(winning_to_outcome(win)), win, atol=0)
 
 
+def test_winning_to_outcome_at_n16_stays_fast():
+    # Only n sign rows are built, not the 2^n x 2^n Hadamard matrix (32 GiB at n = 16).
+    n = 16
+    win = np.full((2**n, n), 0.25)
+    start = time.perf_counter()
+    p0 = winning_to_outcome(win)
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(p0[1], [0.25] * (n - 1) + [0.75])
+    assert np.array_equal(p0[-1], [0.75] * n)
+
+
 def test_closeness_extremes():
     identity_w = WeightMatrix(n=3, omega=np.eye(8))
     assert closeness(identity_w) == pytest.approx(8.0)

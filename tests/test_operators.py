@@ -120,6 +120,14 @@ def test_build_observables_returns_the_cached_set():
     assert build_observables(5) is build_observables(5)
 
 
+def test_predicates_hold_on_a_stack_only_when_every_slice_does():
+    stack = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2, SIGMA_X])
+    assert is_hermitian(stack) and not is_positive_semidefinite(stack)
+    assert is_positive_semidefinite(stack[:2])
+    stack[1, 0, 1] = 0.5
+    assert not is_hermitian(stack)
+
+
 def test_predicates_on_non_examples():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
     assert not is_positive_semidefinite(-np.eye(2))

@@ -3,7 +3,7 @@ import pytest
 
 from seqcontext import ensembles, sequence
 from seqcontext.ensembles import all_bit_strings, build_ensemble, build_preparation
-from seqcontext.operators import SIGMA_X, build_observables, identity
+from seqcontext.operators import SIGMA_X, build_observables, identity, is_density_matrix
 from seqcontext.sequence import (
     MarginalTable,
     UnsharpSetting,
@@ -136,6 +136,46 @@ def test_evolve_average_rejects_non_density_input():
         evolve_average(np.eye(2), 0.5, 3)  # trace 2
     with pytest.raises(ValueError):
         evolve_average(np.array([[1.5, 0], [0, -0.5]]), 0.5, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_stacked_evolve_average_is_bit_equal_to_the_per_state_loop(n):
+    states = build_ensemble(n, 0.83)
+    for etas in ([0.6441], [0.37, 0.91]):
+        stack, singles = states, list(states)
+        for eta in etas:
+            stack = evolve_average(stack, eta, n)
+            singles = [evolve_average(rho, eta, n) for rho in singles]
+            assert np.array_equal(stack, np.array(singles))
+
+
+def _with_bad_slice(kind):
+    stack = build_ensemble(3, 0.5)
+    bad = {
+        "trace-2": 2.0 * stack[5],
+        "non-hermitian": stack[5] + np.array([[0.0, 0.1], [0.0, 0.0]]),
+        "negative-eigenvalue": np.diag([1.5, -0.5]),
+    }[kind]
+    stack[5] = bad
+    return stack
+
+
+@pytest.mark.parametrize("kind", ["trace-2", "non-hermitian", "negative-eigenvalue"])
+def test_one_bad_slice_fails_the_whole_stack(kind):
+    stack = _with_bad_slice(kind)
+    assert is_density_matrix(np.delete(stack, 5, axis=0))
+    assert not is_density_matrix(stack[5])
+    assert not is_density_matrix(stack)
+    with pytest.raises(ValueError, match="density matrix"):
+        evolve_average(stack, 0.5, 3)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 3)])
+def test_evolve_average_rejects_arrays_that_are_not_square_stacks(shape):
+    with pytest.raises(ValueError):
+        is_density_matrix(np.zeros(shape))
+    with pytest.raises(ValueError):
+        evolve_average(np.zeros(shape), 0.5, 3)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3.0])
