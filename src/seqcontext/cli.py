@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 from importlib.resources import files
 from pathlib import Path
 
@@ -261,6 +262,7 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 3
 
 
+@cache  # built on the first call, then reused: parse_args leaves the parser as it found it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="seqcontext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

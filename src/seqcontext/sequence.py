@@ -55,40 +55,48 @@ def theta_to_eta(theta: float) -> float:
     return eta
 
 
+def _unsharp(g: np.ndarray, sign, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projectors, Kraus operators and POVM elements of observables g and outcome signs (-1)^b. All
+    elementwise: a broadcast stack's slices are bit-equal to one (d, d) g with a float sign."""
+    eye = identity(g.shape[-1])
+    keep = (eye + sign * g) / 2.0
+    kraus = math.sqrt((1.0 + eta) / 2.0) * keep + math.sqrt((1.0 - eta) / 2.0) * (eye - keep)
+    return keep, kraus, (eye + sign * eta * g) / 2.0
+
+
+def _one_setting(s: UnsharpSetting) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _unsharp(build_observables(s.n).observable(s.y), -1.0 if s.b else 1.0, s.eta)
+
+
 def projector(setting: UnsharpSetting) -> np.ndarray:
     """Sharp projector (1 + (-1)^b G_y) / 2 onto the outcome-b eigenspace."""
-    obs = build_observables(setting.n)
-    sign = -1.0 if setting.b else 1.0
-    return (identity(obs.dim) + sign * obs.observable(setting.y)) / 2.0
-
-
-def povm_element(setting: UnsharpSetting) -> np.ndarray:
-    """Unsharp POVM element (1 + (-1)^b eta G_y) / 2."""
-    obs = build_observables(setting.n)
-    sign = -1.0 if setting.b else 1.0
-    return (identity(obs.dim) + sign * setting.eta * obs.observable(setting.y)) / 2.0
+    return _one_setting(setting)[0]
 
 
 def kraus_operator(setting: UnsharpSetting) -> np.ndarray:
     """Hermitian Kraus operator sqrt((1+eta)/2) P_b + sqrt((1-eta)/2) P_(1-b)."""
-    keep = projector(setting)
-    flip = identity(keep.shape[0]) - keep
-    return math.sqrt((1.0 + setting.eta) / 2.0) * keep + math.sqrt((1.0 - setting.eta) / 2.0) * flip
+    return _one_setting(setting)[1]
+
+
+def povm_element(setting: UnsharpSetting) -> np.ndarray:
+    """Unsharp POVM element (1 + (-1)^b eta G_y) / 2."""
+    return _one_setting(setting)[2]
 
 
 @lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
 def _instrument(n: int, eta) -> tuple[tuple, tuple]:
-    """Read-only matrices of the unsharp instrument for one (n, eta), built with the public
-    constructors above: the 2n pairs (K, conj(K)) in y, b order, and the POVM elements [y - 1][b]."""
+    """Read-only matrices of the unsharp instrument for one (n, eta), bit-equal to the public
+    constructors: the 2n pairs (K, conj(K)) in y, b order, and the POVM elements [y - 1][b]."""
     # typed: n = 3.0 or eta = 1 never share an entry with n = 3 or eta = 1.0, so
     # each still meets the checks of build_observables and UnsharpSetting on its own.
-    build_observables(n)
-    settings = [[UnsharpSetting(n=n, y=y, b=b, eta=eta) for b in (0, 1)] for y in range(1, n + 1)]
-    pairs = tuple((k, k.conj()) for k in (kraus_operator(s) for row in settings for s in row))
-    povm = tuple(tuple(povm_element(s) for s in row) for row in settings)
-    for matrix in sum(pairs + povm, ()):
-        matrix.setflags(write=False)
-    return pairs, povm
+    g = np.stack(build_observables(n).observables)[:, None]
+    UnsharpSetting(n=n, y=1, b=0, eta=eta)  # ValueError for eta outside [0, 1]
+    _, kraus, povm = _unsharp(g, np.array([1.0, -1.0])[:, None, None], eta)
+    kraus = np.stack([k.reshape(2 * n, *g.shape[-2:]) for k in (kraus, kraus.conj())])
+    kraus.setflags(write=False)
+    povm.setflags(write=False)
+    # Per-matrix views made once: indexing the stacks on every call slowed run_sequence ~5 %.
+    return tuple(zip(*kraus)), tuple(map(tuple, povm))
 
 
 def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:

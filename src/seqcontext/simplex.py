@@ -48,18 +48,16 @@ def _reduced_costs(c: np.ndarray, tableau: np.ndarray, basis: list[int]) -> np.n
 
 def _choose_pivot_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
     """Min-ratio row with Bland tie-break; prefers well-scaled pivot elements."""
+    coeffs = tableau[:, col]
     for threshold in (_PREFERRED_PIVOT, _PIVOT_TOL):
-        leave = -1
-        best_ratio = np.inf
-        for i in range(tableau.shape[0]):
-            coeff = tableau[i, col]
-            if coeff > threshold:
-                ratio = max(tableau[i, -1], 0.0) / coeff
-                if ratio < best_ratio - _RATIO_TIE_TOL or (
-                    abs(ratio - best_ratio) <= _RATIO_TIE_TOL and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+        rows = (coeffs > threshold).nonzero()[0]
+        leave, best_ratio = -1, np.inf
+        for i, ratio in zip(rows.tolist(), (np.maximum(tableau[rows, -1], 0.0) / coeffs[rows]).tolist()):
+            if ratio < best_ratio - _RATIO_TIE_TOL or (
+                abs(ratio - best_ratio) <= _RATIO_TIE_TOL and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
         if leave >= 0:
             return leave
     return -1
@@ -84,15 +82,12 @@ def _maximize(w: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]):
         reduced = _reduced_costs(c, tableau, basis)
         moved = False
         for _ in range(_REFRESH_INTERVAL):
-            enter = -1
-            for j in range(c.size):
-                if reduced[j] < -_REDUCED_COST_TOL:
-                    enter = j
-                    break
-            if enter < 0:
+            entering = (reduced < -_REDUCED_COST_TOL).nonzero()[0]
+            if not entering.size:
                 if not moved:
                     return "optimal", tableau
                 break  # refresh once more before declaring optimality
+            enter = int(entering[0])
             leave = _choose_pivot_row(tableau, basis, enter)
             if leave < 0:
                 # verify unboundedness on fresh data before reporting it

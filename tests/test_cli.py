@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from seqcontext import equivalence_lp
+from seqcontext import cli, equivalence_lp
 from seqcontext.cli import dispatch, fixture_path
 from seqcontext.sampling import sample_counts
 from seqcontext.sequence import MarginalTable, read_marginal_csv, run_sequence, witness
@@ -344,6 +344,39 @@ def test_reports_are_byte_identical_across_runs(capsys):
     _, first = run_cli(capsys, "sample", "--fixture", "observer1", "--trials", "999", "--seed", "11")
     _, second = run_cli(capsys, "sample", "--fixture", "observer1", "--trials", "999", "--seed", "11")
     assert first == second
+
+
+# One argument list per subcommand, with `anonymous` in both of its modes.
+REUSE_ARGVS = [
+    ["witness", "--n", "3", "--q", "1", "--etas", "0.6441", "0.7637"],
+    ["chain", "--n", "5", "--q", "0.9"],
+    ["plan", "--m", "3", "--q", "0.8"],
+    ["anonymous", "--n", "10", "--optimize"],
+    ["anonymous", "--n", "10", "--theta", "1.0"],
+    ["lp", "--fixture", "observer1"],
+    ["sample", "--fixture", "observer2", "--trials", "1000", "--seed", "3"],
+    ["sweep", "--mode", "dimension", "--q", "0.8", "--range", "2", "12", "4"],
+    ["verify"],
+]
+
+
+def test_one_parser_serves_repeated_calls_in_a_process(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    forward = [run_cli(capsys, *argv) for argv in REUSE_ARGVS]
+    assert all(code == 0 for code, _ in forward)
+    # exit-2 calls in between: one refused after parsing, two by the parser itself
+    for argv in (
+        ["sweep", "--mode", "noise", "--n", "6", "--range", "0.2", "1.0", "0"],
+        ["lp", "--fixture", "observer1", "--input", "table.csv"],
+        ["witness", "--n", "3"],
+    ):
+        assert run_json(capsys, *argv)[0] == 2
+    backward = [run_cli(capsys, *argv) for argv in reversed(REUSE_ARGVS)]
+    assert backward[::-1] == forward
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert [run_cli(capsys, *argv) for argv in REUSE_ARGVS] == forward
 
 
 def test_a_pre_equals_mean_of_entries():

@@ -422,4 +422,23 @@ def test_returned_instrument_matrices_are_callers_own():
 def test_cached_instrument_matrices_are_read_only():
     pairs, povm = sequence._instrument(3, 0.5)
     assert len(pairs) == 6 and all(len(row) == 2 for row in povm) and len(povm) == 3
-    assert not any(matrix.flags.writeable for matrix in sum(pairs + povm, ()))
+    matrices = sum(pairs + povm, ())
+    assert not any(matrix.flags.writeable for matrix in matrices)
+    # every matrix is a view of one of two broadcast stacks, and those are read-only too
+    stacks = {id(matrix.base): matrix.base for matrix in matrices}.values()
+    assert sorted(stack.shape for stack in stacks) == [(2, 6, 2, 2), (3, 2, 2, 2)]
+    assert not any(stack.flags.writeable for stack in stacks)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_instrument_stacks_are_bit_equal_to_the_public_constructors(n):
+    etas = [0.0, 0.5, 1.0, *np.random.default_rng(20261018 + n).uniform(0.0, 1.0, size=5).tolist()]
+    for eta in etas:
+        pairs, povm = sequence._instrument(n, eta)
+        for y in range(1, n + 1):
+            for b in (0, 1):
+                setting = UnsharpSetting(n=n, y=y, b=b, eta=eta)
+                kraus, conj = pairs[2 * (y - 1) + b]
+                assert kraus.tobytes() == kraus_operator(setting).tobytes()
+                assert conj.tobytes() == kraus_operator(setting).conj().tobytes()
+                assert povm[y - 1][b].tobytes() == povm_element(setting).tobytes()

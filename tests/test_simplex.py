@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqcontext import simplex
 from seqcontext.selfcheck import enumerate_vertex_optimum
 from seqcontext.simplex import solve_lp
 
@@ -85,3 +86,53 @@ def test_degenerate_vertex_stack():
     assert result.status == "optimal"
     assert result.objective == pytest.approx(1.0)
     assert result.residual <= 1e-9
+
+
+def _scalar_pivot_row(tableau, basis, col):
+    # The row-by-row ratio test that _choose_pivot_row replaced, kept here as its oracle.
+    for threshold in (simplex._PREFERRED_PIVOT, simplex._PIVOT_TOL):
+        leave = -1
+        best_ratio = np.inf
+        for i in range(tableau.shape[0]):
+            coeff = tableau[i, col]
+            if coeff > threshold:
+                ratio = max(tableau[i, -1], 0.0) / coeff
+                if ratio < best_ratio - simplex._RATIO_TIE_TOL or (
+                    abs(ratio - best_ratio) <= simplex._RATIO_TIE_TOL and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave >= 0:
+            return leave
+    return -1
+
+
+def test_pivot_row_matches_the_scalar_ratio_test():
+    rng = np.random.default_rng(20261018)
+    kinds = {"preferred": 0, "small-only": 0, "none": 0, "tie": 0}  # "tie": ratios within 1e-12 but unequal
+    for _ in range(400):
+        m = int(rng.integers(1, 12))
+        # coefficients and right-hand sides from small grids give exact ratio ties; the
+        # jitter splits some of them by less than the 1e-12 tie tolerance, some by more
+        coeffs = rng.choice([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0], size=(m, 4))
+        coeffs[:, 1] = rng.choice([-1e-8, 0.0, 5e-10, 2e-8, 9e-8], size=m)  # nothing above _PREFERRED_PIVOT
+        coeffs[:, 2] = rng.choice([-1.0, -0.0, 0.0, 1e-11, 1e-10], size=m)  # nothing above _PIVOT_TOL
+        coeffs[:, 3] = rng.choice([-1.0, 2e-9, 5e-8, 0.5, 1.0], size=m)  # preferred rows beat smaller ratios
+        rhs = rng.choice([-1.0, -1e-12, -0.0, 0.0, 0.5, 1.0], size=m)
+        rhs += rng.choice([0.0, 0.0, 3e-13, -4e-13, 5e-12], size=m)
+        tableau = np.column_stack([coeffs, rhs])
+        basis = rng.permutation(40)[:m].tolist()
+        for col in range(coeffs.shape[1]):
+            expected = _scalar_pivot_row(tableau, basis, col)
+            assert simplex._choose_pivot_row(tableau, basis, col) == expected
+            if expected < 0:
+                kinds["none"] += 1
+            elif tableau[expected, col] > simplex._PREFERRED_PIVOT:
+                kinds["preferred"] += 1
+                rows = tableau[:, col] > simplex._PREFERRED_PIVOT
+                ratios = np.maximum(tableau[rows, -1], 0.0) / tableau[rows, col]
+                gaps = np.abs(ratios - ratios.min())
+                kinds["tie"] += int(np.any((gaps > 0.0) & (gaps <= simplex._RATIO_TIE_TOL)))
+            else:
+                kinds["small-only"] += 1
+    assert min(kinds.values()) > 20, kinds
