@@ -13,8 +13,8 @@ from .ensembles import (
     build_ensemble,
     build_preparation,
     check_operational_equivalence,
+    constraint_signs,
     parity_signs,
-    parity_strings,
     partial_trace_construction,
     setting_signs,
     signed_observable_sum,
@@ -98,6 +98,7 @@ __all__ = [
     "check_operational_equivalence",
     "closed_form_witness",
     "closeness",
+    "constraint_signs",
     "critical_chain",
     "enforce_equivalences",
     "evolve_average",
@@ -109,7 +110,6 @@ __all__ = [
     "normalized_closeness",
     "parity_residual",
     "parity_signs",
-    "parity_strings",
     "partial_trace_construction",
     "povm_element",
     "quality_factor",

@@ -4,8 +4,9 @@ Every subcommand prints one JSON report to stdout with the shape
 {command, config, results, residuals, version}. Floats are rounded to six
 significant digits before serialization so repeated runs are byte-identical.
 Exit codes: 0 success; 2 invalid configuration or input data, including a
-malformed or incomplete table CSV; 3 numerical or solver failure. ``dispatch``
-is the one place that maps exceptions to these codes.
+malformed or incomplete table CSV and a path that cannot be opened; 3
+numerical or solver failure. ``dispatch`` is the one place that maps
+exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ def _cmd_sample(args) -> int:
 
 def _sweep_rows(args) -> tuple[list[str], list[list]]:
     lo, hi, count = args.range
-    if not 1 <= count <= SWEEP_MAX_POINTS:
-        raise CliError(f"--range COUNT must lie in 1..{SWEEP_MAX_POINTS}, got {count:g}")
+    if not (1 <= count <= SWEEP_MAX_POINTS and count.is_integer()):
+        raise CliError(f"--range COUNT must be an integer in 1..{SWEEP_MAX_POINTS}, got {count:g}")
     count = int(count)
     if args.mode == "noise":
         if args.n is None:
@@ -330,10 +331,11 @@ def dispatch(argv) -> int:
         command = args.command or command
         return args.func(args)
     except Exception as exc:
-        # The package raises ValueError, CliError included, only for bad input.
-        # LinAlgError subclasses ValueError but is a numerical failure, and so
-        # is every other exception.
-        bad_input = isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError)
+        # The package raises ValueError, CliError included, only for bad input,
+        # and an OSError means a path that cannot be opened. LinAlgError
+        # subclasses ValueError but is a numerical failure, and so is every
+        # other exception.
+        bad_input = isinstance(exc, (ValueError, OSError)) and not isinstance(exc, np.linalg.LinAlgError)
         code = 2 if bad_input else 3
         print(json.dumps({"command": command, "error": {"code": code, "message": str(exc)}, "version": __version__}))
         return code

@@ -24,9 +24,18 @@ def all_bit_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2**n)]
 
 
-def parity_strings(n: int) -> list[str]:
-    """All r in {0,1}^n with Hamming weight >= 2 (the hidden parities)."""
-    return [r for r in all_bit_strings(n) if r.count("1") >= 2]
+def _signs(rows, n: int) -> np.ndarray:
+    """sign[i, x] = (-1)^popcount(rows[i] & x) over x in 0..2^n - 1, the one sign rule of the package."""
+    both = np.bitwise_and.outer(np.asarray(rows, dtype=np.int64), np.arange(2**n))
+    odd = np.zeros_like(both)
+    for bit in range(n):
+        odd ^= both >> bit
+    return 1.0 - 2.0 * (odd & 1)
+
+
+def _hidden_parities(n: int) -> list[int]:
+    """Every r in 0..2^n - 1 with at least two bits set, in increasing order."""
+    return [r for r in range(2**n) if bin(r).count("1") >= 2]
 
 
 def parity_signs(n: int) -> np.ndarray:
@@ -35,15 +44,17 @@ def parity_signs(n: int) -> np.ndarray:
     Row r of H holds the sign every preparation x carries in the parity
     constraint for r; the weight-1 rows give (-1)^(x_y) for each setting y.
     """
-    signs = np.ones((1, 1))
-    for _ in range(n):
-        signs = np.block([[signs, signs], [signs, -signs]])
-    return signs
+    return _signs(range(2**n), n)
 
 
 def setting_signs(n: int) -> np.ndarray:
     """sign[y, x] = (-1)^(x_y), setting y counted from the left bit: the weight-1 rows of ``parity_signs``."""
-    return 1.0 - 2.0 * ((np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+    return _signs([2 ** (n - 1 - y) for y in range(n)], n)
+
+
+def constraint_signs(n: int) -> np.ndarray:
+    """Rows of ``parity_signs`` for the hidden parities |r| >= 2, in increasing r."""
+    return _signs(_hidden_parities(n), n)
 
 
 def _validate_bits(x: str, n: int) -> str:
@@ -101,24 +112,18 @@ def check_operational_equivalence(states) -> EquivalenceReport:
     residual is the largest entrywise deviation over all r with |r| >= 2;
     ``worst_r`` names the parity that attains it.
     """
+    states = np.asarray(states, dtype=complex)
     n = len(states).bit_length() - 1
     if n < 2 or len(states) != 2**n:
         raise ValueError(f"expected 2^n states with n >= 2, got {len(states)}")
-    signs = parity_signs(n)
     worst = 0.0
     worst_r = ""
-    for r in parity_strings(n):
-        even = np.zeros_like(states[0], dtype=complex)
-        odd = np.zeros_like(states[0], dtype=complex)
-        for sign, rho in zip(signs[int(r, 2)], states):
-            if sign > 0:
-                even += rho
-            else:
-                odd += rho
-        residual = float(np.max(np.abs(even - odd)))
+    # Masked sums add the states in binary order of x, so they round like a running sum.
+    for r, sign in zip(_hidden_parities(n), constraint_signs(n)):
+        residual = float(np.max(np.abs(states[sign > 0].sum(axis=0) - states[sign < 0].sum(axis=0))))
         if residual > worst or not worst_r:
             worst = residual
-            worst_r = r
+            worst_r = format(r, f"0{n}b")
     return EquivalenceReport(passed=worst <= EQUIVALENCE_TOL, worst_r=worst_r, residual=worst)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import parity_signs, parity_strings, setting_signs
+from .ensembles import constraint_signs, setting_signs
 from .sequence import MarginalTable, witness
 from .simplex import solve_lp
 
@@ -53,11 +53,6 @@ def normalized_closeness(weights: WeightMatrix) -> float:
     return closeness(weights) / 2**weights.n
 
 
-def _constraint_signs(n: int) -> np.ndarray:
-    """Rows of ``parity_signs`` for the hidden parities |r| >= 2, in increasing r."""
-    return parity_signs(n)[[int(r, 2) for r in parity_strings(n)]]
-
-
 def winning_to_outcome(p: np.ndarray) -> np.ndarray:
     """Swap winning and outcome-0 probabilities of a (2^n, n) array (involutive).
 
@@ -69,7 +64,7 @@ def winning_to_outcome(p: np.ndarray) -> np.ndarray:
 
 def parity_residual(p0: np.ndarray, n: int) -> float:
     """Largest parity-constraint violation max_{r,y} |sum_x (-1)^(r.x) p0[x, y]|."""
-    signs = _constraint_signs(n)
+    signs = constraint_signs(n)
     return float(np.max(np.abs(signs @ p0))) if signs.size else 0.0
 
 
@@ -99,7 +94,7 @@ class LPResult:
 def _build_program(p0: np.ndarray, n: int):
     """Assemble the equality system and witness objective over flattened w[x, x']."""
     size = 2**n
-    signs = _constraint_signs(n)
+    signs = constraint_signs(n)
     # Row (r, y) holds (-1)^(r.x) p0[x', y] at column x * size + x', one exact product each.
     parity = (signs[:, None, :, None] * p0.T[None, :, None, :]).reshape(-1, size * size)
     rows = np.concatenate([np.kron(np.eye(size), np.ones(size)), parity])

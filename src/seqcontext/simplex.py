@@ -144,14 +144,10 @@ def solve_lp(objective, a_eq, b_eq) -> LinearProgramResult:
     keep_rows = []
     for i in range(m):
         if basis[i] >= nvar:
-            pivot_col = -1
-            for j in range(nvar):
-                if abs(tableau[i, j]) > _PREFERRED_PIVOT:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
+            candidates = (np.abs(tableau[i, :nvar]) > _PREFERRED_PIVOT).nonzero()[0]
+            if not candidates.size:
                 continue
-            _pivot(tableau, basis, i, pivot_col)
+            _pivot(tableau, basis, i, int(candidates[0]))
         keep_rows.append(i)
     a2 = a[keep_rows]
     b2 = b[keep_rows]

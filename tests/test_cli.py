@@ -284,6 +284,7 @@ def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
         ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "inf"],
         ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "10001"],
         ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "100000000"],
+        ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "2.5"],
         ["witness", "--n", "30", "--etas", "0.5"],
         ["sample", "--fixture", "observer1", "--trials", str(2**63)],
         ["sample", "--fixture", "observer1", "--trials", str(10**30)],
@@ -303,6 +304,7 @@ def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
         "inf-count",
         "count-10001",
         "count-1e8",
+        "fractional-count",
         "oversized-witness",
         "trials-2e63",
         "trials-1e30",
@@ -321,6 +323,20 @@ def test_invalid_values_exit_2(capsys, argv):
     start = time.perf_counter()
     code, report = run_json(capsys, *argv)
     assert time.perf_counter() - start < 1.0
+    assert_error_only(code, report, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lp", "--input", "{dir}"],
+        ["sample", "--fixture", "observer1", "--trials", "10", "--output", "{dir}/missing/x.csv"],
+        ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "3", "--out", "{dir}/missing/x.csv"],
+    ],
+    ids=["lp-input-directory", "sample-output-missing-dir", "sweep-out-missing-dir"],
+)
+def test_unopenable_paths_exit_2(capsys, tmp_path, argv):
+    code, report = run_json(capsys, *(arg.format(dir=tmp_path) for arg in argv))
     assert_error_only(code, report, 2)
 
 

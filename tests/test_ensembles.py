@@ -6,13 +6,14 @@ from seqcontext.ensembles import (
     build_ensemble,
     build_preparation,
     check_operational_equivalence,
+    constraint_signs,
     parity_signs,
-    parity_strings,
     partial_trace_construction,
     setting_signs,
     signed_observable_sum,
 )
 from seqcontext.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, build_observables, identity
+from seqcontext.sequence import evolve_average
 
 SQRT3 = np.sqrt(3.0)
 
@@ -21,10 +22,21 @@ def bloch_vector(rho):
     return np.array([np.real(np.trace(rho @ s)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
-def test_parity_strings():
-    assert parity_strings(3) == ["011", "101", "110", "111"]
-    assert parity_strings(2) == ["11"]
-    assert len(parity_strings(4)) == 2**4 - 4 - 1
+def test_constraint_signs_are_the_hidden_parity_rows():
+    np.testing.assert_array_equal(constraint_signs(2), [[1, -1, -1, 1]])
+    np.testing.assert_array_equal(
+        constraint_signs(3),
+        [
+            [1, -1, -1, 1, 1, -1, -1, 1],  # r = 011
+            [1, -1, 1, -1, -1, 1, -1, 1],  # r = 101
+            [1, 1, -1, -1, -1, -1, 1, 1],  # r = 110
+            [1, -1, -1, 1, -1, 1, 1, -1],  # r = 111
+        ],
+    )
+    for n in range(1, 11):
+        hidden = [r for r in range(2**n) if bin(r).count("1") >= 2]
+        assert len(hidden) == 2**n - n - 1
+        assert np.array_equal(constraint_signs(n), parity_signs(n)[hidden])
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -152,8 +164,44 @@ def test_operational_equivalence_detects_tampering():
     broken[0] = identity(2) / 2
     report = check_operational_equivalence(broken)
     assert not report.passed
-    assert report.worst_r in parity_strings(3)
+    assert report.worst_r in ["011", "101", "110", "111"]
     assert report.residual > 1e-3
+
+
+def per_state_equivalence(states):
+    """The reference check: add each state into its even or odd sum one at a time, per hidden parity."""
+    n = len(states).bit_length() - 1
+    signs = parity_signs(n)
+    worst, worst_r = 0.0, ""
+    for r in [r for r in all_bit_strings(n) if r.count("1") >= 2]:
+        even = np.zeros_like(states[0], dtype=complex)
+        odd = np.zeros_like(states[0], dtype=complex)
+        for sign, rho in zip(signs[int(r, 2)], states):
+            if sign > 0:
+                even += rho
+            else:
+                odd += rho
+        residual = float(np.max(np.abs(even - odd)))
+        if residual > worst or not worst_r:
+            worst, worst_r = residual, r
+    return worst_r, worst
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_operational_equivalence_matches_the_per_state_loop(n):
+    rng = np.random.default_rng(20261018 + n)
+    cases = []
+    for _ in range(10):
+        evolved = evolve_average(build_ensemble(n, rng.uniform(0.0, 1.0)), rng.uniform(0.0, 1.0), n)
+        cases.append(evolved)
+        tampered = evolved.copy()
+        x = rng.integers(2**n)
+        tampered[x] = tampered[x] + rng.uniform(-1e-3, 1e-3) * build_observables(n).observables[rng.integers(n)]
+        cases.append(tampered)
+    reports = [check_operational_equivalence(states) for states in cases]
+    for states, report in zip(cases, reports):
+        assert (report.worst_r, report.residual) == per_state_equivalence(states)
+    assert [report.passed for report in reports] == [True, False] * 10
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 6])

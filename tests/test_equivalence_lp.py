@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from seqcontext import equivalence_lp
+from seqcontext import ensembles, equivalence_lp
 from seqcontext.cli import fixture_path
 from seqcontext.equivalence_lp import (
     WeightMatrix,
@@ -199,7 +199,7 @@ def test_json_dict_shape():
 def test_build_program_matches_kron_rows(n):
     size = 2**n
     p0 = np.random.default_rng(n).uniform(0.0, 1.0, size=(size, n))
-    signs = equivalence_lp._constraint_signs(n)
+    signs = ensembles.constraint_signs(n)
     expected = [np.kron(np.eye(size)[x], np.ones(size)) for x in range(size)]
     expected += [np.kron(signs[r], p0[:, y]) for r in range(signs.shape[0]) for y in range(n)]
     _, rows, rhs = equivalence_lp._build_program(p0, n)
