@@ -57,9 +57,22 @@ def is_hermitian(matrix, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:
-    """Hermitian with smallest eigenvalue >= -tol."""
+    """Hermitian with smallest eigenvalue >= -tol.
+
+    A Cholesky factorisation of m + (tol/2) 1 screens the stack first. It is backward
+    stable, so its success proves lambda_min > -tol/2 - O(d u |m|), above -tol for any
+    matrix of modest norm such as a density matrix; when it fails, eigvalsh decides.
+    """
     m = _as_square(matrix, stacked=True)
-    return is_hermitian(m, max(tol, DEFAULT_TOL)) and bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
+    if not is_hermitian(m, max(tol, DEFAULT_TOL)):
+        return False
+    if tol > 0:
+        try:
+            np.linalg.cholesky(m + (tol / 2) * np.eye(m.shape[-1]))
+            return True
+        except np.linalg.LinAlgError:
+            pass
+    return bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
 
 
 def is_density_matrix(matrix, tol: float = 1e-10) -> bool:

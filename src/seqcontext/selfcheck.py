@@ -129,14 +129,14 @@ def enumerate_vertex_optimum(c, a_eq, b_eq):
     a = np.atleast_2d(np.asarray(a_eq, dtype=float))
     b = np.asarray(b_eq, dtype=float).reshape(-1)
     rank = np.linalg.matrix_rank(a)
+    combos = np.array(list(combinations(range(c.size), rank)), dtype=int)
+    # One stacked SVD screens every column choice; each (rows, rank) slice gets its own rank.
+    full = np.linalg.matrix_rank(a[:, combos].transpose(1, 0, 2)) == rank
     best = None
-    for cols in combinations(range(c.size), rank):
-        sub = a[:, cols]
-        if np.linalg.matrix_rank(sub) < rank:
-            continue
-        xs, *_ = np.linalg.lstsq(sub, b, rcond=None)
+    for cols in combos[full]:
+        xs, *_ = np.linalg.lstsq(a[:, cols], b, rcond=None)
         x = np.zeros(c.size)
-        x[list(cols)] = xs
+        x[cols] = xs
         if np.min(xs) < -LP_TOL or np.max(np.abs(a @ x - b)) > LP_TOL:
             continue
         value = float(c @ x)

@@ -108,10 +108,14 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     build_observables(n)  # ValueError for a bad n, before the state is checked
     if not is_density_matrix(state, tol=1e-8):
         raise ValueError("evolve_average requires a density matrix input")
-    out = np.zeros_like(np.asarray(state, dtype=complex))
+    state = np.asarray(state, dtype=complex)
+    d = state.shape[-1]
+    out = np.zeros((state.size // d, d), dtype=complex)
     for k, kc in _instrument(n, eta)[0]:
-        out += k @ state @ kc.T
-    return out / n
+        # Left product per slice; the right one as a single (m*d, d) GEMM, whose rows
+        # round as each slice's own product does. A grouped left product would not.
+        out += (k @ state).reshape(-1, d) @ kc.T
+    return (out / n).reshape(state.shape)
 
 
 def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:

@@ -132,3 +132,50 @@ def test_predicates_on_non_examples():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
     assert not is_positive_semidefinite(-np.eye(2))
     assert is_positive_semidefinite(np.diag([1.0, 0.0]))
+
+
+def _eigvalsh_decision(m, tol):
+    # The rule the Cholesky screen must reproduce: Hermitian, then the smallest eigenvalue alone.
+    return is_hermitian(m, max(tol, 1e-12)) and bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
+
+
+def _with_smallest_eigenvalue(rng, d, smallest):
+    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    u, _ = np.linalg.qr(raw)
+    lam = rng.uniform(0.0, 1.0, size=d)
+    lam[0] = smallest
+    if d > 2:
+        lam[1] = 0.0
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("f", [0.5, 0.999, 0.999999, 1.0, 1.000001, 1.001, 2.0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_cholesky_screen_decides_like_eigvalsh(d, tol, f):
+    rng = np.random.default_rng([d, int(-np.log10(tol)), int(f * 1e6)])
+    matrices = [_with_smallest_eigenvalue(rng, d, -f * tol) for _ in range(20)]
+    decisions = [is_positive_semidefinite(m, tol) for m in matrices]
+    assert decisions == [_eigvalsh_decision(m, tol) for m in matrices]
+    if f in (0.5, 0.999, 1.001, 2.0):  # far enough from -tol that rounding cannot flip the answer
+        assert decisions == [f < 1.0] * len(matrices)
+    stack = np.stack(matrices)
+    assert is_positive_semidefinite(stack, tol) == all(decisions)
+
+
+def test_cholesky_screen_on_stacks_singular_matrices_and_nan():
+    rng = np.random.default_rng(5)
+    good = np.stack([_with_smallest_eigenvalue(rng, 4, 0.0) for _ in range(8)])
+    assert is_positive_semidefinite(good)
+    bad = good.copy()
+    bad[6] = _with_smallest_eigenvalue(rng, 4, -2e-10)
+    assert not is_positive_semidefinite(bad) and not _eigvalsh_decision(bad, 1e-10)
+    assert is_positive_semidefinite(np.delete(bad, 6, axis=0))
+    # tol = 0 skips the screen: exactly what eigvalsh says, on exact and rounded singular matrices.
+    for m in (np.diag([1.0, 0.0]), good[0], np.zeros((3, 3))):
+        assert is_positive_semidefinite(m, 0.0) == _eigvalsh_decision(m, 0.0)
+    assert is_positive_semidefinite(np.diag([1.0, 0.0]), 0.0)
+    nan = good.copy()
+    nan[2, 1, 1] = np.nan
+    assert not is_positive_semidefinite(nan) and not is_positive_semidefinite(nan[2])

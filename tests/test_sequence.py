@@ -149,6 +149,25 @@ def test_stacked_evolve_average_is_bit_equal_to_the_per_state_loop(n):
             assert np.array_equal(stack, np.array(singles))
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_stacked_evolve_average_is_byte_equal_to_an_explicit_kraus_sum(n):
+    # Reference: each slice alone, sum over (y, b) in order of K rho K^dagger, divided by n.
+    seeded = float(np.random.default_rng(1000 + n).uniform())
+    for q in (1.0, 0.83, 0.31):
+        states = build_ensemble(n, q)
+        for eta in (0.0, 0.6441, 1.0, seeded):
+            kraus = [kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta)) for y in range(1, n + 1) for b in (0, 1)]
+            expected = []
+            for rho in states:
+                total = np.zeros_like(rho)
+                for k in kraus:
+                    total += k @ rho @ k.conj().T
+                expected.append(total / n)
+            expected = np.array(expected)
+            assert evolve_average(states, eta, n).tobytes() == expected.tobytes()
+            assert evolve_average(states[3], eta, n).tobytes() == expected[3].tobytes()
+
+
 def _with_bad_slice(kind):
     stack = build_ensemble(3, 0.5)
     bad = {
