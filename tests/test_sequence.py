@@ -149,9 +149,9 @@ def test_stacked_evolve_average_is_bit_equal_to_the_per_state_loop(n):
             assert np.array_equal(stack, np.array(singles))
 
 
-@pytest.mark.parametrize("n", range(2, 10))
-def test_stacked_evolve_average_is_byte_equal_to_an_explicit_kraus_sum(n):
-    # Reference: each slice alone, sum over (y, b) in order of K rho K^dagger, divided by n.
+def _explicit_kraus_sums(n):
+    """(eta, states, expected) cases: each slice alone, sum over (y, b) in order of
+    K rho K^dagger, divided by n."""
     seeded = float(np.random.default_rng(1000 + n).uniform())
     for q in (1.0, 0.83, 0.31):
         states = build_ensemble(n, q)
@@ -163,9 +163,20 @@ def test_stacked_evolve_average_is_byte_equal_to_an_explicit_kraus_sum(n):
                 for k in kraus:
                     total += k @ rho @ k.conj().T
                 expected.append(total / n)
-            expected = np.array(expected)
-            assert evolve_average(states, eta, n).tobytes() == expected.tobytes()
-            assert evolve_average(states[3], eta, n).tobytes() == expected[3].tobytes()
+            yield eta, states, np.array(expected)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_stacked_evolve_average_is_byte_equal_to_an_explicit_kraus_sum(n):
+    for eta, states, expected in _explicit_kraus_sums(n):
+        assert evolve_average(states, eta, n).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_single_state_evolve_average_is_byte_equal_to_an_explicit_kraus_sum(n):
+    for eta, states, expected in _explicit_kraus_sums(n):
+        for ix in (0, 3, len(states) - 1):
+            assert evolve_average(states[ix], eta, n).tobytes() == expected[ix].tobytes()
 
 
 def _with_bad_slice(kind):
@@ -439,13 +450,14 @@ def test_returned_instrument_matrices_are_callers_own():
 
 
 def test_cached_instrument_matrices_are_read_only():
-    pairs, povm = sequence._instrument(3, 0.5)
-    assert len(pairs) == 6 and all(len(row) == 2 for row in povm) and len(povm) == 3
-    matrices = sum(pairs + povm, ())
-    assert not any(matrix.flags.writeable for matrix in matrices)
-    # every matrix is a view of one of two broadcast stacks, and those are read-only too
-    stacks = {id(matrix.base): matrix.base for matrix in matrices}.values()
-    assert sorted(stack.shape for stack in stacks) == [(2, 6, 2, 2), (3, 2, 2, 2)]
+    kraus, povm = sequence._instrument(3, 0.5)
+    assert kraus.shape == (6, 2, 2) and all(len(row) == 2 for row in povm) and len(povm) == 3
+    assert not any(matrix.flags.writeable for matrix in (kraus, kraus.base, *kraus))
+    elements = sum(povm, ())
+    assert not any(element.flags.writeable for element in elements)
+    # every POVM element is a view of one broadcast stack, and that is read-only too
+    stacks = {id(element.base): element.base for element in elements}.values()
+    assert [stack.shape for stack in stacks] == [(3, 2, 2, 2)]
     assert not any(stack.flags.writeable for stack in stacks)
 
 
@@ -453,11 +465,13 @@ def test_cached_instrument_matrices_are_read_only():
 def test_instrument_stacks_are_bit_equal_to_the_public_constructors(n):
     etas = [0.0, 0.5, 1.0, *np.random.default_rng(20261018 + n).uniform(0.0, 1.0, size=5).tolist()]
     for eta in etas:
-        pairs, povm = sequence._instrument(n, eta)
+        kraus, povm = sequence._instrument(n, eta)
+        assert kraus.shape == (2 * n, 2 ** (n // 2), 2 ** (n // 2))
         for y in range(1, n + 1):
             for b in (0, 1):
                 setting = UnsharpSetting(n=n, y=y, b=b, eta=eta)
-                kraus, conj = pairs[2 * (y - 1) + b]
-                assert kraus.tobytes() == kraus_operator(setting).tobytes()
-                assert conj.tobytes() == kraus_operator(setting).conj().tobytes()
+                k = kraus[2 * (y - 1) + b]
+                assert k.tobytes() == kraus_operator(setting).tobytes()
+                # evolve_average uses K itself as the right factor K^dagger
+                assert np.array_equal(k, k.conj().T)
                 assert povm[y - 1][b].tobytes() == povm_element(setting).tobytes()
