@@ -10,6 +10,7 @@ kept as an independent validation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +84,18 @@ def build_preparation(n: int, x: str, q: float) -> np.ndarray:
     return (identity(obs.dim) + q * signed_observable_sum(obs, x)) / obs.dim
 
 
+@lru_cache(maxsize=1)  # one n at a time: build_ensemble's callers visit each n in turn
+def _signed_sums(n: int) -> np.ndarray:
+    """Read-only (2^n, dim, dim) stack of every A_x, in binary order of x."""
+    obs = build_observables(n)
+    acc = np.zeros((2**n, obs.dim, obs.dim), dtype=complex)
+    for sign, g in zip(setting_signs(n), obs.observables):
+        acc += sign[:, None, None] * g
+    acc /= np.sqrt(n)
+    acc.setflags(write=False)
+    return acc
+
+
 def build_ensemble(n: int, q: float) -> np.ndarray:
     """All 2^n preparations at visibility q as one (2^n, dim, dim) stack, in binary order of x.
 
@@ -91,11 +104,8 @@ def build_ensemble(n: int, q: float) -> np.ndarray:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"visibility q must lie in [0, 1], got {q}")
-    obs = build_observables(n)
-    acc = np.zeros((2**n, obs.dim, obs.dim), dtype=complex)
-    for sign, g in zip(setting_signs(n), obs.observables):
-        acc += sign[:, None, None] * g
-    return (identity(obs.dim) + q * (acc / np.sqrt(n))) / obs.dim
+    dim = build_observables(n).dim  # ValueError for a bad n, before the cache sees it
+    return (identity(dim) + q * _signed_sums(n)) / dim
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import build_ensemble, check_operational_equivalence
 from .operators import DEFAULT_TOL, build_observables, verify_anticommutation
 from .planner import critical_chain
-from .sequence import UnsharpSetting, evolve_average, kraus_operator, visibility_chain
+from .sequence import _kraus_stack, evolve_average, visibility_chain
 from .simplex import solve_lp
 
 ANTICOMMUTATION_N_MAX = 10
@@ -50,15 +50,15 @@ def check_anticommutation() -> CheckResult:
 def check_povm_completeness() -> CheckResult:
     worst = 0.0
     for n in range(2, POVM_N_MAX + 1):
-        obs = build_observables(n)
-        eye = np.eye(obs.dim)
-        for y in range(1, n + 1):
-            for eta in (0.0, 0.3, 0.7637, 1.0):
-                total = np.zeros((obs.dim, obs.dim), dtype=complex)
-                for b in (0, 1):
-                    k = kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta))
-                    total += k.conj().T @ k
-                worst = max(worst, float(np.max(np.abs(total - eye))))
+        eye = np.eye(build_observables(n).dim)
+        for eta in (0.0, 0.3, 0.7637, 1.0):
+            # The simulator's own (2n, d, d) stack, as (y, b, d, d): one batched K'K per outcome b.
+            kraus = _kraus_stack(n, eta).reshape(n, 2, *eye.shape)
+            total = np.zeros(kraus.shape[:1] + eye.shape, dtype=complex)
+            for b in (0, 1):
+                k = kraus[:, b]
+                total += k.conj().swapaxes(-1, -2) @ k
+            worst = max(worst, float(np.max(np.abs(total - eye))))
     ok = worst <= DEFAULT_TOL
     return CheckResult("povm_completeness", ok, f"max |sum K'K - 1| = {worst:.3e}")
 

@@ -23,7 +23,8 @@ from .operators import build_observables, identity, is_density_matrix
 # Bounds the dense simulation's work: run_sequence builds and evolves 2^n states of
 # 4^(n//2) complex entries, one after another; 2^n of them would fill this at n <= 11.
 STATE_BYTES_BUDGET = 2**26
-# (n, eta) instruments kept by _instrument; a chain's observers each use one.
+# Entries kept by each instrument cache: per n, per (n, eta) Kraus stack, per (n, eta) POVM
+# views. A chain's observers each use one (n, eta).
 INSTRUMENT_CACHE_SIZE = 8
 
 
@@ -55,47 +56,80 @@ def theta_to_eta(theta: float) -> float:
     return eta
 
 
-def _unsharp(g: np.ndarray, sign, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projectors, Kraus operators and POVM elements of observables g and outcome signs (-1)^b. All
+def _projectors(g: np.ndarray, sign) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The identity, the projector keep = (1 + sign g)/2 of observables g onto outcome signs
+    (-1)^b, and the other outcome's projector 1 - keep. Every formula of the instrument is
     elementwise: a broadcast stack's slices are bit-equal to one (d, d) g with a float sign."""
     eye = identity(g.shape[-1])
     keep = (eye + sign * g) / 2.0
-    kraus = math.sqrt((1.0 + eta) / 2.0) * keep + math.sqrt((1.0 - eta) / 2.0) * (eye - keep)
-    return keep, kraus, (eye + sign * eta * g) / 2.0
+    return eye, keep, eye - keep
 
 
-def _one_setting(s: UnsharpSetting) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _unsharp(build_observables(s.n).observable(s.y), -1.0 if s.b else 1.0, s.eta)
+def _unsharp(keep: np.ndarray, rest: np.ndarray, eta) -> np.ndarray:
+    """Kraus operators sqrt((1+eta)/2) keep + sqrt((1-eta)/2) rest of sharpness eta."""
+    return math.sqrt((1.0 + eta) / 2.0) * keep + math.sqrt((1.0 - eta) / 2.0) * rest
+
+
+def _povm(eye: np.ndarray, g: np.ndarray, sign, eta) -> np.ndarray:
+    """POVM elements (1 + sign eta g)/2 of sharpness eta."""
+    return (eye + sign * eta * g) / 2.0
+
+
+def _one_setting(s: UnsharpSetting) -> tuple[np.ndarray, float]:
+    return build_observables(s.n).observable(s.y), -1.0 if s.b else 1.0
 
 
 def projector(setting: UnsharpSetting) -> np.ndarray:
     """Sharp projector (1 + (-1)^b G_y) / 2 onto the outcome-b eigenspace."""
-    return _one_setting(setting)[0]
+    return _projectors(*_one_setting(setting))[1]
 
 
 def kraus_operator(setting: UnsharpSetting) -> np.ndarray:
     """Hermitian Kraus operator sqrt((1+eta)/2) P_b + sqrt((1-eta)/2) P_(1-b)."""
-    return _one_setting(setting)[1]
+    return _unsharp(*_projectors(*_one_setting(setting))[1:], setting.eta)
 
 
 def povm_element(setting: UnsharpSetting) -> np.ndarray:
     """Unsharp POVM element (1 + (-1)^b eta G_y) / 2."""
-    return _one_setting(setting)[2]
+    g, sign = _one_setting(setting)
+    return _povm(identity(g.shape[-1]), g, sign, setting.eta)
+
+
+# The instrument's caches, typed: n = 3.0 or eta = 1 never share an entry with n = 3 or
+# eta = 1.0, so each still meets the checks of build_observables and UnsharpSetting on its own.
+@lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
+def _instrument_parts(n: int) -> tuple[np.ndarray, ...]:
+    """The eta-independent, read-only parts of n's instrument, broadcast over settings y and
+    outcomes b: the (d, d) identity, keep and 1 - keep of shape (n, 2, d, d), the (n, 1, d, d)
+    observables and the (2, 1, 1) signs. A fresh eta then costs two scalar multiplies and an add."""
+    g = np.stack(build_observables(n).observables)[:, None]
+    sign = np.array([1.0, -1.0])[:, None, None]
+    parts = (*_projectors(g, sign), g, sign)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 @lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
-def _instrument(n: int, eta) -> tuple[np.ndarray, tuple]:
-    """Read-only matrices of the unsharp instrument for one (n, eta), bit-equal to the public
-    constructors: the (2n, d, d) Kraus stack in y, b order, and the POVM elements [y - 1][b]."""
-    # typed: n = 3.0 or eta = 1 never share an entry with n = 3 or eta = 1.0, so
-    # each still meets the checks of build_observables and UnsharpSetting on its own.
-    g = np.stack(build_observables(n).observables)[:, None]
+def _kraus_stack(n: int, eta) -> np.ndarray:
+    """Read-only (2n, d, d) Kraus stack of the (n, eta) instrument in (y, b) order, bit-equal
+    to ``kraus_operator``."""
+    _, keep, rest, _, _ = _instrument_parts(n)
     UnsharpSetting(n=n, y=1, b=0, eta=eta)  # ValueError for eta outside [0, 1]
-    _, kraus, povm = _unsharp(g, np.array([1.0, -1.0])[:, None, None], eta)
+    kraus = _unsharp(keep, rest, eta)
     kraus.setflags(write=False)
+    return kraus.reshape(2 * n, *keep.shape[-2:])
+
+
+@lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
+def _povm_views(n: int, eta) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only POVM elements [y - 1][b] of the (n, eta) instrument, bit-equal to ``povm_element``."""
+    eye, _, _, g, sign = _instrument_parts(n)
+    UnsharpSetting(n=n, y=1, b=0, eta=eta)
+    povm = _povm(eye, g, sign, eta)
     povm.setflags(write=False)
-    # Per-matrix POVM views made once: indexing the stack on every call slowed run_sequence ~5 %.
-    return kraus.reshape(2 * n, *g.shape[-2:]), tuple(map(tuple, povm))
+    # Per-matrix views made once: indexing the stack on every call slowed run_sequence ~5 %.
+    return tuple(map(tuple, povm))
 
 
 def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
@@ -109,7 +143,7 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
         raise ValueError("evolve_average requires a density matrix input")
     state = np.asarray(state, dtype=complex)
     # Every K is Hermitian entry for entry, so K itself is the right factor K^dagger.
-    kraus = _instrument(n, eta)[0]
+    kraus = _kraus_stack(n, eta)
     d = state.shape[-1]
     if state.ndim == 2:
         # One state: two batched matmuls, each one (d, d) GEMM per K, then the 2n terms in order.
@@ -130,7 +164,7 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
 
 def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     """p(b | state, y) = Tr(state * E_y^b) for the unsharp POVM element."""
-    element = _instrument(setting.n, setting.eta)[1][setting.y - 1][int(setting.b)]
+    element = _povm_views(setting.n, setting.eta)[setting.y - 1][int(setting.b)]
     p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ element)))
     if p < -1e-10 or p > 1.0 + 1e-10:
         raise ValueError(f"marginal probability {p} outside [0, 1]; input is not a valid state")
@@ -215,6 +249,8 @@ class MarginalTable:
             sigma = np.asarray(self.sigma, dtype=float)
             if sigma.shape != win.shape:
                 raise ValueError("sigma must match the shape of win")
+            if not np.all(np.isfinite(sigma)) or sigma.min() < 0.0:
+                raise ValueError("sigma must hold finite, non-negative standard errors")
             object.__setattr__(self, "sigma", sigma)
 
 

@@ -67,7 +67,7 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     column = tableau[:, col].copy()
     column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
+    tableau -= column[:, None] * tableau[row]
     basis[row] = col
 
 

@@ -4,10 +4,18 @@ import time
 import numpy as np
 import pytest
 
-from seqcontext import cli, equivalence_lp
+from seqcontext import cli, ensembles, equivalence_lp, selfcheck, sequence
 from seqcontext.cli import dispatch, fixture_path
 from seqcontext.sampling import sample_counts
-from seqcontext.sequence import MarginalTable, read_marginal_csv, run_sequence, witness
+from seqcontext.operators import build_observables
+from seqcontext.sequence import (
+    MarginalTable,
+    UnsharpSetting,
+    kraus_operator,
+    read_marginal_csv,
+    run_sequence,
+    witness,
+)
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +254,17 @@ def test_malformed_data_returns_failure_json(capsys, tmp_path):
     assert report["error"]["code"] == 2
 
 
+def test_lp_rejects_non_finite_or_negative_sigma(capsys, tmp_path):
+    # Only the sigma column is bad: one nan and one negative entry.
+    bad = tmp_path / "t.csv"
+    sigmas = iter(["nan", "-5"] + ["0.01"] * 6)
+    rows = ["x,y,p_win,sigma"] + [f"{x},{y},0.5,{next(sigmas)}" for x in ("00", "01", "10", "11") for y in (1, 2)]
+    bad.write_text("\n".join(rows) + "\n")
+    code, report = run_json(capsys, "lp", "--input", str(bad))
+    assert_error_only(code, report, 2)
+    assert "sigma" in report["error"]["message"]
+
+
 def assert_error_only(code, report, expected):
     """An error report carries the exit code and nothing of a partial result."""
     assert code == expected
@@ -407,3 +426,28 @@ def test_verify_command(capsys):
     assert report["results"]["all_ok"] is True
     names = {check["name"] for check in report["results"]["checks"]}
     assert {"anticommutation", "visibility_lemma", "visibility_sandwich", "lp_vertex_oracle"} <= names
+
+
+def test_verify_prints_the_same_bytes_with_its_caches_cold_and_warm(capsys):
+    for cache in (sequence._instrument_parts, sequence._kraus_stack, sequence._povm_views, ensembles._signed_sums):
+        cache.cache_clear()
+    cold = run_cli(capsys, "verify")
+    assert sequence._kraus_stack.cache_info().currsize > 0 and ensembles._signed_sums.cache_info().currsize == 1
+    warm = run_cli(capsys, "verify")
+    assert cold[0] == 0 and warm == cold
+
+
+def test_povm_completeness_detail_matches_a_per_operator_reference():
+    # One (y, eta) at a time from the public constructor, each K'K its own 2-D product.
+    worst = 0.0
+    for n in range(2, selfcheck.POVM_N_MAX + 1):
+        eye = np.eye(build_observables(n).dim)
+        for y in range(1, n + 1):
+            for eta in (0.0, 0.3, 0.7637, 1.0):
+                total = np.zeros_like(eye, dtype=complex)
+                for b in (0, 1):
+                    k = kraus_operator(UnsharpSetting(n=n, y=y, b=b, eta=eta))
+                    total += k.conj().T @ k
+                worst = max(worst, float(np.max(np.abs(total - eye))))
+    result = selfcheck.check_povm_completeness()
+    assert result.ok and result.detail == f"max |sum K'K - 1| = {worst:.3e}"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqcontext import ensembles
 from seqcontext.ensembles import (
     all_bit_strings,
     build_ensemble,
@@ -60,6 +61,27 @@ def test_build_ensemble_stack_is_bit_equal_to_build_preparation(n):
         stack = build_ensemble(n, q)
         assert stack.shape == (2**n, 2 ** (n // 2), 2 ** (n // 2))
         assert np.array_equal(stack, np.array([build_preparation(n, x, q) for x in all_bit_strings(n)]))
+
+
+def test_build_ensemble_is_bit_equal_to_build_preparation_with_its_cache_cold_and_warm():
+    for n in (2, 5, 3):
+        preparations = {q: [build_preparation(n, x, q) for x in all_bit_strings(n)] for q in (1.0, 0.83, 0.31, 0.0)}
+        for cold in (True, False):
+            for q, expected in preparations.items():
+                if cold:
+                    ensembles._signed_sums.cache_clear()
+                stack = build_ensemble(n, q)
+                assert stack.flags.writeable
+                assert [state.tobytes() for state in stack] == [state.tobytes() for state in expected]
+                # the stack is the caller's own: writing into it leaves the next call unchanged
+                stack[:] = np.nan
+                assert build_ensemble(n, q).tobytes() == np.array(expected).tobytes()
+    sums = ensembles._signed_sums(3)
+    assert not sums.flags.writeable
+    with pytest.raises(ValueError):
+        build_ensemble(3.0, 0.5)  # a warm n = 3 entry does not let n = 3.0 past build_observables
+    with pytest.raises(ValueError):
+        sums[0, 0, 0] = 0.0
 
 
 def test_build_ensemble_validates_q():

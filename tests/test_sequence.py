@@ -434,6 +434,12 @@ def test_cached_instruments_keep_the_input_checks():
         evolve_average(rho, 1.5, 3)
     with pytest.raises(ValueError):
         evolve_average(rho, 1.5, 3)
+    # Both (n, eta) caches, each with its per-n parts warm: a bad n or eta raises on every call.
+    for cache in (sequence._kraus_stack, sequence._povm_views):
+        cache(3, 0.5)
+        for n, eta in [(3.0, 0.5), (3, 1.5), (3, 1.5), (3, -0.1), (1, 0.5)]:
+            with pytest.raises(ValueError):
+                cache(n, eta)
 
 
 def test_returned_instrument_matrices_are_callers_own():
@@ -450,7 +456,11 @@ def test_returned_instrument_matrices_are_callers_own():
 
 
 def test_cached_instrument_matrices_are_read_only():
-    kraus, povm = sequence._instrument(3, 0.5)
+    eye, keep, rest, g, sign = sequence._instrument_parts(3)
+    assert keep.shape == rest.shape == (3, 2, 2, 2) and g.shape == (3, 1, 2, 2) and sign.shape == (2, 1, 1)
+    assert not any(part.flags.writeable for part in (eye, keep, rest, g, sign))
+    kraus = sequence._kraus_stack(3, 0.5)
+    povm = sequence._povm_views(3, 0.5)
     assert kraus.shape == (6, 2, 2) and all(len(row) == 2 for row in povm) and len(povm) == 3
     assert not any(matrix.flags.writeable for matrix in (kraus, kraus.base, *kraus))
     elements = sum(povm, ())
@@ -463,9 +473,18 @@ def test_cached_instrument_matrices_are_read_only():
 
 @pytest.mark.parametrize("n", range(2, 12))
 def test_instrument_stacks_are_bit_equal_to_the_public_constructors(n):
+    eye, keep, rest, g, _ = sequence._instrument_parts(n)
     etas = [0.0, 0.5, 1.0, *np.random.default_rng(20261018 + n).uniform(0.0, 1.0, size=5).tolist()]
+    for y in range(1, n + 1):
+        assert g[y - 1, 0].tobytes() == build_observables(n).observable(y).tobytes()
+        for b in (0, 1):
+            p = projector(UnsharpSetting(n=n, y=y, b=b, eta=0.5))
+            assert keep[y - 1, b].tobytes() == p.tobytes()
+            assert rest[y - 1, b].tobytes() == (identity(p.shape[0]) - p).tobytes()
+    assert eye.tobytes() == identity(2 ** (n // 2)).tobytes()
     for eta in etas:
-        kraus, povm = sequence._instrument(n, eta)
+        kraus = sequence._kraus_stack(n, eta)
+        povm = sequence._povm_views(n, eta)
         assert kraus.shape == (2 * n, 2 ** (n // 2), 2 ** (n // 2))
         for y in range(1, n + 1):
             for b in (0, 1):
@@ -475,3 +494,14 @@ def test_instrument_stacks_are_bit_equal_to_the_public_constructors(n):
                 # evolve_average uses K itself as the right factor K^dagger
                 assert np.array_equal(k, k.conj().T)
                 assert povm[y - 1][b].tobytes() == povm_element(setting).tobytes()
+
+
+def test_marginal_table_rejects_non_finite_or_negative_sigma():
+    win = np.full((4, 2), 0.5)
+    for bad in (np.nan, np.inf, -np.inf, -5.0, -1e-300):
+        sigma = np.full((4, 2), 0.01)
+        sigma[2, 1] = bad
+        with pytest.raises(ValueError, match="sigma"):
+            MarginalTable(n=2, win=win, sigma=sigma)
+    for good in (0.0, -0.0, 0.0002, 1e300):
+        assert MarginalTable(n=2, win=win, sigma=np.full((4, 2), good)).sigma[0, 0] == good
