@@ -70,10 +70,9 @@ def signed_observable_sum(observables: ObservableSet, x: str) -> np.ndarray:
     Squares to the identity because the G_i pairwise anticommute.
     """
     _validate_bits(x, observables.n)
-    acc = np.zeros((observables.dim, observables.dim), dtype=complex)
-    for bit, g in zip(x, observables.observables):
-        acc += (-1.0 if bit == "1" else 1.0) * g
-    return acc / np.sqrt(observables.n)
+    signs = np.array([-1.0 if bit == "1" else 1.0 for bit in x])[:, None, None]
+    # One reduce adds the signed observables in setting order from +0, as a running sum would.
+    return np.add.reduce(signs * observables.stack, axis=0, initial=0) / np.sqrt(observables.n)
 
 
 def build_preparation(n: int, x: str, q: float) -> np.ndarray:
@@ -89,7 +88,7 @@ def _signed_sums(n: int) -> np.ndarray:
     """Read-only (2^n, dim, dim) stack of every A_x, in binary order of x."""
     obs = build_observables(n)
     acc = np.zeros((2**n, obs.dim, obs.dim), dtype=complex)
-    for sign, g in zip(setting_signs(n), obs.observables):
+    for sign, g in zip(setting_signs(n), obs.stack):
         acc += sign[:, None, None] * g
     acc /= np.sqrt(n)
     acc.setflags(write=False)

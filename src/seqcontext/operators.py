@@ -8,7 +8,7 @@ assumed, only checked against an explicit tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -51,9 +51,9 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 # The three predicates take one d x d matrix or a (..., d, d) stack, and hold only when every slice passes.
+# Each converts and shape-checks its input once, then hands the array to the private forms below.
 def is_hermitian(matrix, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_square(matrix, stacked=True)
-    return bool(abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= tol)
+    return _is_hermitian(_as_square(matrix, stacked=True), tol)
 
 
 def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:
@@ -63,23 +63,35 @@ def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:
     stable, so its success proves lambda_min > -tol/2 - O(d u |m|), above -tol for any
     matrix of modest norm such as a density matrix; when it fails, eigvalsh decides.
     """
-    m = _as_square(matrix, stacked=True)
-    if not is_hermitian(m, max(tol, DEFAULT_TOL)):
-        return False
-    if tol > 0:
-        try:
-            np.linalg.cholesky(m + (tol / 2) * np.eye(m.shape[-1]))
-            return True
-        except np.linalg.LinAlgError:
-            pass
-    return bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
+    return _is_positive_semidefinite(_as_square(matrix, stacked=True), tol)
 
 
 def is_density_matrix(matrix, tol: float = 1e-10) -> bool:
     m = _as_square(matrix, stacked=True)
     if abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) > tol:
         return False
-    return is_positive_semidefinite(m, tol)
+    return _is_positive_semidefinite(m, tol)
+
+
+def _is_hermitian(m: np.ndarray, tol: float) -> bool:
+    return bool(abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= tol)
+
+
+def _is_positive_semidefinite(m: np.ndarray, tol: float) -> bool:
+    if not _is_hermitian(m, max(tol, DEFAULT_TOL)):
+        return False
+    if tol > 0:
+        try:
+            np.linalg.cholesky(m + _shift(m.shape[-1], tol))
+            return True
+        except np.linalg.LinAlgError:
+            pass
+    return bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
+
+
+@lru_cache(maxsize=32)  # the screen's read-only shift (tol/2) 1, made once per (dim, tol)
+def _shift(dim: int, tol: float) -> np.ndarray:
+    return _frozen((tol / 2) * np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,19 @@ class ObservableSet:
 
     ``observables[k - 1]`` is the observable for setting ``k`` (settings are
     1-based throughout the package). All matrices are ``dim x dim`` with
-    ``dim = 2 ** (n // 2)``.
+    ``dim = 2 ** (n // 2)``. ``stack`` holds them as one read-only (n, dim, dim)
+    array, and each observable is a view of it.
     """
 
     n: int
     dim: int
     observables: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stack = _frozen(self.observables)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "observables", tuple(stack))
 
     def observable(self, y: int) -> np.ndarray:
         """Observable for 1-based setting index ``y``."""
@@ -120,7 +139,7 @@ def _observable_family(n: int) -> ObservableSet:
     family.append(tensor_product(eye, SIGMA_Y))
     if n % 2:
         family.append(tensor_product(eye, SIGMA_Z))
-    return ObservableSet(n=n, dim=2 * prev.dim, observables=tuple(_frozen(g) for g in family))
+    return ObservableSet(n=n, dim=2 * prev.dim, observables=tuple(family))
 
 
 def build_observables(n: int) -> ObservableSet:

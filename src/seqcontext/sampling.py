@@ -14,9 +14,10 @@ def sample_counts(table: MarginalTable, trials_per_setting: int, seed: int) -> M
     are reproduced exactly. The sigma column carries the plug-in standard
     error sqrt(p(1-p)/N) of each estimate.
     """
-    # the binomial draw takes a 64-bit count
-    if not 1 <= trials_per_setting <= np.iinfo(np.int64).max:
-        raise ValueError(f"trials_per_setting must lie in 1..2**63 - 1, got {trials_per_setting}")
+    # The binomial draw takes a whole 64-bit count: it would truncate 2.5 to 2 trials and run True as 1.
+    whole = isinstance(trials_per_setting, (int, np.integer)) and not isinstance(trials_per_setting, bool)
+    if not whole or not 1 <= trials_per_setting <= np.iinfo(np.int64).max:
+        raise ValueError(f"trials_per_setting must be an integer in 1..2**63 - 1, got {trials_per_setting!r}")
     rng = np.random.default_rng(seed)
     counts = rng.binomial(trials_per_setting, table.win)
     win = counts / float(trials_per_setting)

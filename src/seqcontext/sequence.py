@@ -102,7 +102,7 @@ def _instrument_parts(n: int) -> tuple[np.ndarray, ...]:
     """The eta-independent, read-only parts of n's instrument, broadcast over settings y and
     outcomes b: the (d, d) identity, keep and 1 - keep of shape (n, 2, d, d), the (n, 1, d, d)
     observables and the (2, 1, 1) signs. A fresh eta then costs two scalar multiplies and an add."""
-    g = np.stack(build_observables(n).observables)[:, None]
+    g = build_observables(n).stack[:, None]
     sign = np.array([1.0, -1.0])[:, None, None]
     parts = (*_projectors(g, sign), g, sign)
     for part in parts:
@@ -146,12 +146,9 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     kraus = _kraus_stack(n, eta)
     d = state.shape[-1]
     if state.ndim == 2:
-        # One state: two batched matmuls, each one (d, d) GEMM per K, then the 2n terms in order.
-        terms = kraus @ state @ kraus
-        out = np.zeros((d, d), dtype=complex)
-        for term in terms:
-            out += term
-        return out / n
+        # One state: two batched matmuls, each one (d, d) GEMM per K, then one reduce that adds
+        # the 2n terms in (y, b) order from +0, as a running sum would.
+        return np.add.reduce(kraus @ state @ kraus, axis=0, initial=0) / n
     # Stacks loop over K: batching them over K as well makes (2n, m, d, d) temporaries,
     # whose page faults made it up to 2x slower from n = 6.
     out = np.zeros((state.size // d, d), dtype=complex)
@@ -165,8 +162,8 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
 def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     """p(b | state, y) = Tr(state * E_y^b) for the unsharp POVM element."""
     element = _povm_views(setting.n, setting.eta)[setting.y - 1][int(setting.b)]
-    p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ element)))
-    if p < -1e-10 or p > 1.0 + 1e-10:
+    p = float((np.asarray(state, dtype=complex) @ element).trace().real)
+    if not -1e-10 <= p <= 1.0 + 1e-10:  # also refuses NaN and infinities
         raise ValueError(f"marginal probability {p} outside [0, 1]; input is not a valid state")
     return min(max(p, 0.0), 1.0)
 

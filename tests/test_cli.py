@@ -40,6 +40,15 @@ def test_sample_counts_deterministic():
     assert np.any(different.win != first.win)
 
 
+
+def test_sample_counts_rejects_a_non_integer_trial_count():
+    table = run_sequence(3, 1.0, [0.6441])[0]
+    # 2.5 would draw 2 trials and divide by 2.5; True would run as 1 trial
+    for bad in (2.5, 1000.0, np.float64(1000), True, False, "1000", None):
+        with pytest.raises(ValueError, match="integer"):
+            sample_counts(table, bad, seed=42)
+    np.testing.assert_array_equal(sample_counts(table, np.int64(1000), seed=42).win, sample_counts(table, 1000, seed=42).win)
+
 def test_sample_counts_degenerate_entries_exact():
     win = np.zeros((4, 2))
     win[0, 0] = 1.0

@@ -84,6 +84,24 @@ def test_build_ensemble_is_bit_equal_to_build_preparation_with_its_cache_cold_an
         sums[0, 0, 0] = 0.0
 
 
+
+def _running_sum_preparation(n, x, q):
+    # build_preparation as it read before the one-reduce signed sum, for the bit-identity test below
+    obs = build_observables(n)
+    acc = np.zeros((obs.dim, obs.dim), dtype=complex)
+    for bit, g in zip(x, obs.observables):
+        acc += (-1.0 if bit == "1" else 1.0) * g
+    return (identity(obs.dim) + q * (acc / np.sqrt(n))) / obs.dim
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_build_preparation_is_bit_equal_to_a_running_sum(n):
+    rng = np.random.default_rng(20261019 + n)
+    strings = ["0" * n, "1" * n, ("01" * n)[:n], *(format(int(i), f"0{n}b") for i in rng.integers(2**n, size=4))]
+    for q in (0.0, 1.0, 0.6441, 0.31, *rng.uniform(0.0, 1.0, size=2).tolist()):
+        for x in strings:
+            assert build_preparation(n, x, q).tobytes() == _running_sum_preparation(n, x, q).tobytes()
+
 def test_build_ensemble_validates_q():
     with pytest.raises(ValueError):
         build_ensemble(3, 1.5)

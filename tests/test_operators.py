@@ -8,6 +8,7 @@ from seqcontext.operators import (
     SIGMA_Z,
     build_observables,
     identity,
+    is_density_matrix,
     is_hermitian,
     is_positive_semidefinite,
     tensor_product,
@@ -100,6 +101,20 @@ def test_verify_anticommutation_detects_failure():
     assert report.worst_pair == (1, 2)
 
 
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_observable_set_holds_one_read_only_stack(n):
+    family = build_observables(n)
+    assert family.stack.shape == (n, family.dim, family.dim) and not family.stack.flags.writeable
+    for y, g in enumerate(family.observables):
+        assert g.base is family.stack and not g.flags.writeable
+        assert g.tobytes() == family.stack[y].tobytes()
+    with pytest.raises(ValueError):
+        family.observable(1)[0, 0] = 0.0
+    # a set built by hand stacks its own copy
+    own = type(family)(n=2, dim=2, observables=(SIGMA_X, SIGMA_Z))
+    assert own.stack.tobytes() == np.stack([SIGMA_X, SIGMA_Z]).tobytes() and own.observables[1].base is own.stack
+
 def test_observable_accessor_bounds():
     family = build_observables(3)
     np.testing.assert_array_equal(family.observable(1), SIGMA_X)
@@ -179,3 +194,75 @@ def test_cholesky_screen_on_stacks_singular_matrices_and_nan():
     nan = good.copy()
     nan[2, 1, 1] = np.nan
     assert not is_positive_semidefinite(nan) and not is_positive_semidefinite(nan[2])
+
+
+# The predicates as they read before each converted its input once, for the decision test below.
+def _old_is_hermitian(matrix, tol=1e-12):
+    m = np.asarray(matrix, dtype=complex)
+    return bool(abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= tol)
+
+
+def _old_is_positive_semidefinite(matrix, tol=1e-10):
+    m = np.asarray(matrix, dtype=complex)
+    if not _old_is_hermitian(m, max(tol, 1e-12)):
+        return False
+    if tol > 0:
+        try:
+            np.linalg.cholesky(m + (tol / 2) * np.eye(m.shape[-1]))
+            return True
+        except np.linalg.LinAlgError:
+            pass
+    return bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
+
+
+def _old_is_density_matrix(matrix, tol=1e-10):
+    m = np.asarray(matrix, dtype=complex)
+    if abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) > tol:
+        return False
+    return _old_is_positive_semidefinite(m, tol)
+
+
+def _boundary_cases(d, tol, rng):
+    """Density matrices pushed to each of the checks' edges: trace off by about +-tol, a Hermitian
+    defect of about +-tol, lambda_min near -tol/2, and NaN entries."""
+    unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    cases = [np.eye(d) / d]
+    for f in (0.5, 0.999999, 1.0, 1.000001, 2.0):
+        for sign in (1.0, -1.0):
+            trace_off = unitary @ np.diag(np.full(d, 1.0 / d)) @ unitary.conj().T
+            trace_off[0, 0] += sign * f * tol
+            cases.append(trace_off)
+            defect = unitary @ np.diag(np.full(d, 1.0 / d)) @ unitary.conj().T
+            defect[0, 1] += sign * f * tol
+            cases.append(defect)
+            defect = defect.copy()
+            defect[1, 0] += 1j * sign * f * tol
+            cases.append(defect)
+        for g in (f, 2.0 * f, 0.25 * f):
+            # smallest eigenvalue -g tol / 2, trace 1
+            eigenvalues = np.full(d, (1.0 + g * tol / 2) / (d - 1))
+            eigenvalues[0] = -g * tol / 2
+            cases.append(unitary @ np.diag(eigenvalues) @ unitary.conj().T)
+    for entry in ((0, 0), (0, 1), (d - 1, 0)):
+        nan = unitary @ np.diag(np.full(d, 1.0 / d)) @ unitary.conj().T
+        nan[entry] = np.nan
+        cases.append(nan)
+    return cases
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 0.0])
+def test_predicates_decide_as_before_on_single_matrices_and_stacks(d, tol):
+    cases = _boundary_cases(d, tol if tol else 1e-10, np.random.default_rng(20261019 + d))
+    for m in cases:
+        for s in (m, np.stack([np.eye(d) / d, m]), m[None, None]):
+            assert is_hermitian(s, max(tol, 1e-12)) == _old_is_hermitian(s, max(tol, 1e-12))
+            assert is_positive_semidefinite(s, tol) == _old_is_positive_semidefinite(s, tol)
+            assert is_density_matrix(s, tol) == _old_is_density_matrix(s, tol)
+    stack = np.stack(cases)
+    assert is_density_matrix(stack, tol) == _old_is_density_matrix(stack, tol)
+    assert is_density_matrix(stack[:0], tol) == _old_is_density_matrix(stack[:0], tol)
+    # the edges are exercised: every one of the three predicates both holds and fails somewhere
+    assert len({is_hermitian(m, max(tol, 1e-12)) for m in cases}) == 2
+    for new in (is_positive_semidefinite, is_density_matrix):
+        assert len({new(m, tol) for m in cases}) == 2

@@ -235,6 +235,52 @@ def test_marginal_outcomes_sum_to_one():
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("entry,value", [((0, 0), np.nan), ((1, 1), np.nan)])
+def test_marginal_probability_refuses_a_state_with_a_nan_entry(entry, value):
+    rho = build_preparation(3, "010", 0.9)
+    rho[entry] = value
+    with pytest.raises(ValueError, match="input is not a valid state"):
+        marginal_probability(rho, UnsharpSetting(n=3, y=1, b=0, eta=0.6))
+
+
+@pytest.mark.parametrize("entry,value", [((0, 1), np.inf), ((0, 0), np.inf), ((1, 1), -np.inf)])
+def test_marginal_probability_refuses_a_state_with_an_infinite_entry(entry, value):
+    rho = build_preparation(3, "010", 0.9)
+    rho[entry] = value
+    # The product's inf * 0 terms make numpy warn "invalid value" before p is checked.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="input is not a valid state"):
+        marginal_probability(rho, UnsharpSetting(n=3, y=1, b=0, eta=0.6))
+
+
+def _wrapper_form_marginal(state, setting):
+    # marginal_probability as it read before the method form, for the bit-identity test below
+    p = float(np.real(np.trace(np.asarray(state, dtype=complex) @ povm_element(setting))))
+    return min(max(p, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_marginal_probability_is_bit_equal_to_the_wrapper_form(n):
+    rng = np.random.default_rng(20261019 + n)
+    d = 2 ** (n // 2)
+    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    mixed = raw @ raw.conj().T
+    states = [mixed / np.trace(mixed).real, build_preparation(n, all_bit_strings(n)[-3], 0.77)]
+    states.append(evolve_average(states[-1], 0.41, n))
+    # Eigenspace states of G_1 at eta = 1: p lands on (or rounds just past) the 0 and 1 clip edges.
+    edge = projector(UnsharpSetting(n=n, y=1, b=0, eta=1.0))
+    states.append(edge / np.trace(edge).real)
+    seen = set()
+    for state in states:
+        for eta in (1.0, *rng.uniform(0.0, 1.0, size=2).tolist()):
+            for y in range(1, n + 1):
+                for b in (0, 1):
+                    setting = UnsharpSetting(n=n, y=y, b=b, eta=eta)
+                    got = marginal_probability(state, setting)
+                    assert np.float64(got).tobytes() == np.float64(_wrapper_form_marginal(state, setting)).tobytes()
+                    seen.add(got)
+    assert {0.0, 1.0} <= seen
+
 def test_quality_factor():
     assert quality_factor(3, 0.0) == 1.0
     assert quality_factor(3, 1.0) == pytest.approx(1.0 / 3.0)
