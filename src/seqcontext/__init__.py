@@ -15,30 +15,10 @@ from .ensembles import (
     check_operational_equivalence,
     constraint_signs,
     parity_signs,
-    partial_trace_construction,
     setting_signs,
-    signed_observable_sum,
 )
-from .equivalence_lp import (
-    LPResult,
-    WeightMatrix,
-    closeness,
-    enforce_equivalences,
-    normalized_closeness,
-    parity_residual,
-    winning_to_outcome,
-)
-from .operators import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    AnticommutationReport,
-    ObservableSet,
-    build_observables,
-    tensor_product,
-    verify_anticommutation,
-)
+from .equivalence_lp import LPResult, enforce_equivalences, parity_residual
+from .operators import ObservableSet, build_observables
 from .planner import (
     AnonymousOptimum,
     ChainReport,
@@ -74,21 +54,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnonymousOptimum",
-    "AnticommutationReport",
     "ChainReport",
     "DimensionPlan",
     "EquivalenceReport",
-    "IDENTITY_2",
     "LPResult",
     "LinearProgramResult",
     "MarginalTable",
     "ObservableSet",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "SequencePlan",
     "UnsharpSetting",
-    "WeightMatrix",
     "all_bit_strings",
     "anonymous_chain_length",
     "anonymous_optimum",
@@ -97,7 +71,6 @@ __all__ = [
     "build_preparation",
     "check_operational_equivalence",
     "closed_form_witness",
-    "closeness",
     "constraint_signs",
     "critical_chain",
     "enforce_equivalences",
@@ -107,21 +80,16 @@ __all__ = [
     "max_shared_observers",
     "min_dimension_parameter",
     "noncontextual_bound",
-    "normalized_closeness",
     "parity_residual",
     "parity_signs",
-    "partial_trace_construction",
     "povm_element",
     "quality_factor",
     "read_marginal_csv",
     "run_sequence",
     "sample_counts",
     "setting_signs",
-    "signed_observable_sum",
     "solve_lp",
-    "tensor_product",
     "theta_to_eta",
-    "verify_anticommutation",
     "visibility_chain",
     "witness",
     "write_marginal_csv",

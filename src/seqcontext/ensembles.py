@@ -2,9 +2,8 @@
 
 States live in the "experiment frame": the preparation for input string x at
 visibility q is (identity + q * A_x) / dim, where A_x is the signed, normalized
-sum of the anticommuting observables. The entangled-pair construction
-(``partial_trace_construction``) produces the transpose of these states and is
-kept as an independent validation oracle.
+sum of the anticommuting observables. The tests check these states against an
+independent entangled-pair construction, which produces their transpose.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import ObservableSet, build_observables, identity, tensor_product
+from .operators import build_observables, identity
 
 # Largest entrywise residual at which two parity-class sums count as equal.
 EQUIVALENCE_TOL = 1e-10
@@ -58,29 +57,20 @@ def constraint_signs(n: int) -> np.ndarray:
     return _signs(_hidden_parities(n), n)
 
 
-def _validate_bits(x: str, n: int) -> str:
-    if not isinstance(x, str) or len(x) != n or any(c not in "01" for c in x):
-        raise ValueError(f"x must be a bit string of length {n}, got {x!r}")
-    return x
-
-
-def signed_observable_sum(observables: ObservableSet, x: str) -> np.ndarray:
-    """A_x = n^(-1/2) * sum_i (-1)^(x_i) G_i.
-
-    Squares to the identity because the G_i pairwise anticommute.
-    """
-    _validate_bits(x, observables.n)
-    signs = np.array([-1.0 if bit == "1" else 1.0 for bit in x])[:, None, None]
-    # One reduce adds the signed observables in setting order from +0, as a running sum would.
-    return np.add.reduce(signs * observables.stack, axis=0, initial=0) / np.sqrt(observables.n)
-
-
 def build_preparation(n: int, x: str, q: float) -> np.ndarray:
-    """Density matrix of the preparation for input x at ensemble visibility q: (1 + q A_x) / dim."""
+    """Density matrix of the preparation for input x at ensemble visibility q: (1 + q A_x) / dim.
+
+    A_x = n^(-1/2) * sum_y (-1)^(x_y) G_y squares to the identity because the G_y pairwise anticommute.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"visibility q must lie in [0, 1], got {q}")
     obs = build_observables(n)
-    return (identity(obs.dim) + q * signed_observable_sum(obs, x)) / obs.dim
+    if not isinstance(x, str) or len(x) != obs.n or any(c not in "01" for c in x):
+        raise ValueError(f"x must be a bit string of length {obs.n}, got {x!r}")
+    signs = np.array([-1.0 if bit == "1" else 1.0 for bit in x])[:, None, None]
+    # One reduce adds the signed observables in setting order from +0, as a running sum would.
+    signed_sum = np.add.reduce(signs * obs.stack, axis=0, initial=0) / np.sqrt(obs.n)
+    return (identity(obs.dim) + q * signed_sum) / obs.dim
 
 
 @lru_cache(maxsize=1)  # one n at a time: build_ensemble's callers visit each n in turn
@@ -134,42 +124,3 @@ def check_operational_equivalence(states) -> EquivalenceReport:
             worst = residual
             worst_r = format(r, f"0{n}b")
     return EquivalenceReport(passed=worst <= EQUIVALENCE_TOL, worst_r=worst_r, residual=worst)
-
-
-def _permute_qubits(rho: np.ndarray, perm: list[int]) -> np.ndarray:
-    """Reorder tensor factors so that new position p holds old qubit perm[p]."""
-    t = len(perm)
-    tensor = rho.reshape((2,) * (2 * t))
-    axes = perm + [t + p for p in perm]
-    return tensor.transpose(axes).reshape(2**t, 2**t)
-
-
-def partial_trace_construction(n: int, x: str) -> np.ndarray:
-    """Evaluate the entangled-pair form of the preparation literally.
-
-    Builds maximally entangled two-qubit pairs, reorders qubits so all kept
-    halves trail all traced halves (halves of pair j stay paired), applies
-    (1 + A_x) to the traced block and contracts it. The result equals the
-    transpose of ``build_preparation(n, x, 1)`` and serves only as a
-    validation oracle for that construction.
-    """
-    obs = build_observables(n)
-    _validate_bits(x, n)
-    pairs = n // 2
-    dim = obs.dim
-
-    pair_vec = np.zeros(4, dtype=complex)
-    pair_vec[0] = pair_vec[3] = 1.0 / np.sqrt(2.0)
-    pair = np.outer(pair_vec, pair_vec.conj())
-
-    state = pair
-    for _ in range(pairs - 1):
-        state = tensor_product(state, pair)
-
-    # Qubit order so far: A1 B1 A2 B2 ...; move to A1..Am B1..Bm.
-    perm = [2 * j for j in range(pairs)] + [2 * j + 1 for j in range(pairs)]
-    state = _permute_qubits(state, perm)
-
-    op = tensor_product(identity(dim) + signed_observable_sum(obs, x), identity(dim))
-    full = op @ state
-    return np.einsum("aiaj->ij", full.reshape(dim, dim, dim, dim))

@@ -26,31 +26,9 @@ MAX_LP_N = 4
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Row-stochastic remixing weights omega[x, x']."""
+    """Row-stochastic remixing weights omega[x, x']; a record, as bench/workloads.py reads ``result.omega.omega``."""
 
-    n: int
     omega: np.ndarray
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        size = 2**self.n
-        if omega.shape != (size, size):
-            raise ValueError(f"omega must have shape ({size}, {size}), got {omega.shape}")
-        if omega.min() < -1e-12:
-            raise ValueError("omega must be entrywise nonnegative")
-        if np.max(np.abs(omega.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError("omega rows must sum to 1 within 1e-9")
-        object.__setattr__(self, "omega", omega)
-
-
-def closeness(weights: WeightMatrix) -> float:
-    """Diagonal weight mass F = sum_x omega[x, x], in [0, 2^n]."""
-    return float(np.trace(weights.omega))
-
-
-def normalized_closeness(weights: WeightMatrix) -> float:
-    """F divided by 2^n, so the identity remix scores 1."""
-    return closeness(weights) / 2**weights.n
 
 
 def winning_to_outcome(p: np.ndarray) -> np.ndarray:
@@ -70,14 +48,16 @@ def parity_residual(p0: np.ndarray, n: int) -> float:
 
 @dataclass(frozen=True)
 class LPResult:
+    """The remix of an optimal solve; any other status leaves every field after ``a_pre`` None."""
+
     status: str
     a_pre: float
-    a_post: float | None
-    omega: WeightMatrix | None
-    closeness_raw: float | None
-    closeness_normalized: float | None
-    post_table: np.ndarray | None  # clipped outcome-0 probabilities p0[x, y] after the remix
-    max_parity_residual: float | None
+    a_post: float | None = None
+    omega: WeightMatrix | None = None
+    closeness_raw: float | None = None  # F = trace(omega), in [0, 2^n]
+    closeness_normalized: float | None = None  # F / 2^n, so the identity remix scores 1
+    post_table: np.ndarray | None = None  # clipped outcome-0 probabilities p0[x, y] after the remix
+    max_parity_residual: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,16 +104,7 @@ def enforce_equivalences(table: MarginalTable) -> LPResult:
     c_primary, rows, rhs = _build_program(p0, n)
     first = solve_lp(c_primary, rows, rhs)
     if first.status != "optimal":
-        return LPResult(
-            status=first.status,
-            a_pre=a_pre,
-            a_post=None,
-            omega=None,
-            closeness_raw=None,
-            closeness_normalized=None,
-            post_table=None,
-            max_parity_residual=None,
-        )
+        return LPResult(status=first.status, a_pre=a_pre)
 
     # max F subject to the original system plus c_primary.w >= optimum - slack.
     nvar = c_primary.size
@@ -147,8 +118,12 @@ def enforce_equivalences(table: MarginalTable) -> LPResult:
     second = solve_lp(c_secondary, rows2, rhs2)
     solution = second.x[:nvar] if second.status == "optimal" else first.x
 
-    omega = WeightMatrix(n=n, omega=solution.reshape(size, size))
-    p0_post = omega.omega @ p0
+    omega = solution.reshape(size, size)
+    row_error = float(np.max(np.abs(omega.sum(axis=1) - 1.0)))
+    if omega.min() < -1e-12 or row_error > 1e-9:
+        raise RuntimeError(f"omega is not row-stochastic: min entry {omega.min():.3e}, row-sum error {row_error:.3e}")
+    f_raw = float(np.trace(omega))
+    p0_post = omega @ p0
     post = np.clip(p0_post, 0.0, 1.0)
     a_post = float(np.mean(winning_to_outcome(post)))
     residual = parity_residual(p0_post, n)
@@ -158,9 +133,9 @@ def enforce_equivalences(table: MarginalTable) -> LPResult:
         status="optimal",
         a_pre=a_pre,
         a_post=a_post,
-        omega=omega,
-        closeness_raw=closeness(omega),
-        closeness_normalized=normalized_closeness(omega),
+        omega=WeightMatrix(omega),
+        closeness_raw=f_raw,
+        closeness_normalized=f_raw / 2**n,
         post_table=post,
         max_parity_residual=residual,
     )

@@ -26,7 +26,6 @@ SIGMA_X = _frozen([[0, 1], [1, 0]])
 # Convention: entry (0,1) = -i, entry (1,0) = +i.
 SIGMA_Y = _frozen([[0, -1j], [1j, 0]])
 SIGMA_Z = _frozen([[1, 0], [0, -1]])
-IDENTITY_2 = _frozen(np.eye(2))
 
 
 def identity(dim: int) -> np.ndarray:
@@ -35,25 +34,26 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def _as_square(matrix, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+def _as_square(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
-        shape = "(..., d, d)" if stacked else "square 2-D"
-        raise ValueError(f"{name} must be a {shape} array, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"matrix must be a (..., d, d) array, got shape {m.shape}")
     return m
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices; the left factor indexes blocks."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    return np.kron(a, b)
+def _require_int(value, name: str = "n", low: int = 2) -> None:
+    """ValueError unless ``value`` is a Python or numpy integer (bool is refused) and at least ``low``."""
+    # The type test first: a plain int skips the slower isinstance test against numpy's integer class.
+    if type(value) is not int and (not isinstance(value, (int, np.integer)) or isinstance(value, bool)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 # The three predicates take one d x d matrix or a (..., d, d) stack, and hold only when every slice passes.
 # Each converts and shape-checks its input once, then hands the array to the private forms below.
 def is_hermitian(matrix, tol: float = DEFAULT_TOL) -> bool:
-    return _is_hermitian(_as_square(matrix, stacked=True), tol)
+    return _is_hermitian(_as_square(matrix), tol)
 
 
 def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:
@@ -63,11 +63,11 @@ def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:
     stable, so its success proves lambda_min > -tol/2 - O(d u |m|), above -tol for any
     matrix of modest norm such as a density matrix; when it fails, eigvalsh decides.
     """
-    return _is_positive_semidefinite(_as_square(matrix, stacked=True), tol)
+    return _is_positive_semidefinite(_as_square(matrix), tol)
 
 
 def is_density_matrix(matrix, tol: float = 1e-10) -> bool:
-    m = _as_square(matrix, stacked=True)
+    m = _as_square(matrix)
     if abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) > tol:
         return False
     return _is_positive_semidefinite(m, tol)
@@ -135,10 +135,10 @@ def _observable_family(n: int) -> ObservableSet:
         return ObservableSet(n=3, dim=2, observables=(SIGMA_X, SIGMA_Y, SIGMA_Z))
     prev = _observable_family(n - 1 if n % 2 == 0 else n - 2)
     eye = identity(prev.dim)
-    family = [tensor_product(g, SIGMA_X) for g in prev]
-    family.append(tensor_product(eye, SIGMA_Y))
+    family = [np.kron(g, SIGMA_X) for g in prev]
+    family.append(np.kron(eye, SIGMA_Y))
     if n % 2:
-        family.append(tensor_product(eye, SIGMA_Z))
+        family.append(np.kron(eye, SIGMA_Z))
     return ObservableSet(n=n, dim=2 * prev.dim, observables=tuple(family))
 
 
@@ -148,38 +148,5 @@ def build_observables(n: int) -> ObservableSet:
     Raises ``ValueError`` unless ``n`` is an integer >= 2. Every call for the
     same ``n`` returns the same cached, immutable set.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _require_int(n)
     return _observable_family(int(n))
-
-
-@dataclass(frozen=True)
-class AnticommutationReport:
-    ok: bool
-    max_residual: float
-    worst_pair: tuple[int, int]  # 1-based setting indices
-
-
-def verify_anticommutation(observables: ObservableSet) -> AnticommutationReport:
-    """Check {G_j, G_k} = 2 delta_jk * identity over all pairs, to ``DEFAULT_TOL``.
-
-    The residual is the largest entrywise deviation across pairs; the report
-    carries the offending pair so failures are diagnosable.
-    """
-    eye2 = 2.0 * identity(observables.dim)
-    worst = 0.0
-    worst_pair = (1, 1)
-    for j in range(observables.n):
-        gj = observables.observables[j]
-        for k in range(j, observables.n):
-            gk = observables.observables[k]
-            anti = gj @ gk + gk @ gj
-            if j == k:
-                anti = anti - eye2
-            residual = float(np.max(np.abs(anti)))
-            if residual > worst:
-                worst = residual
-                worst_pair = (j + 1, k + 1)
-    return AnticommutationReport(ok=worst <= DEFAULT_TOL, max_residual=worst, worst_pair=worst_pair)

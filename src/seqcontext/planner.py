@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .operators import _require_int
 from .sequence import quality_factor
 
 # Largest n of a critical chain: a chain has up to n steps and the dimension search runs one
@@ -41,6 +42,7 @@ def critical_chain(n: int, q: float) -> ChainReport:
     """Run the saturation recursion until the required sharpness exceeds 1."""
     if not 2 <= n <= MAX_CHAIN_N:
         raise ValueError(f"n must lie in 2..{MAX_CHAIN_N}, got {n}")
+    _require_int(n)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"visibility q must lie in [0, 1], got {q}")
 
@@ -97,8 +99,7 @@ def min_dimension_parameter(m: int, q: float) -> DimensionPlan:
 
     Refuses m and q whose ceil(m/q^2), a size that always suffices, is above ``MAX_CHAIN_N``.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _require_int(m, "m", 1)
     if not 0.0 < q <= 1.0:
         raise ValueError(f"visibility q must lie in (0, 1], got {q}")
     # An int compares with a float exactly, so a huge m is refused here before m / q^2 converts it.
@@ -136,6 +137,7 @@ def anonymous_chain_length(n: int, theta: float) -> float:
     """
     if not 2 <= n <= MAX_FLOAT_N:
         raise ValueError(f"n must lie in 2..2**53, got {n}")
+    _require_int(n)
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
     s = math.sin(theta)
@@ -185,6 +187,7 @@ def anonymous_optimum(n: int) -> AnonymousOptimum:
     """
     if not 3 <= n <= MAX_FLOAT_N:
         raise ValueError(f"n must lie in 3..2**53, got {n}")
+    _require_int(n)
     grid_points = 512
     lo = math.asin(1.0 / math.sqrt(n)) + 1e-9
     hi = math.pi / 2 - 1e-9

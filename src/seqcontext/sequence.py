@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensembles import all_bit_strings, build_preparation
-from .operators import build_observables, identity, is_density_matrix
+from .operators import _require_int, build_observables, identity, is_density_matrix
 
 # Bounds the dense simulation's work: run_sequence builds and evolves 2^n states of
 # 4^(n//2) complex entries, one after another; 2^n of them would fill this at n <= 11.
@@ -38,10 +38,10 @@ class UnsharpSetting:
     eta: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        _require_int(self.n)
         if not 1 <= self.y <= self.n:
             raise ValueError(f"setting index y must be in 1..{self.n}, got {self.y}")
+        _require_int(self.y, "y", 1)
         if self.b not in (0, 1):
             raise ValueError(f"outcome b must be 0 or 1, got {self.b}")
         if not 0.0 <= self.eta <= 1.0:
@@ -173,8 +173,7 @@ def quality_factor(n: int, eta: float) -> float:
 
     f = (1 + (n-1) sqrt(1 - eta^2)) / n, ranging from 1 (eta=0) to 1/n (eta=1).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _require_int(n)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"sharpness eta must lie in [0, 1], got {eta}")
     return (1.0 + (n - 1) * math.sqrt(1.0 - eta * eta)) / n
@@ -187,6 +186,7 @@ def closed_form_witness(n: int, visibility: float, eta: float) -> float:
 
 def noncontextual_bound(n: int) -> float:
     """Largest witness value any preparation-noncontextual model allows."""
+    _require_int(n)
     return (n + 1) / (2 * n)
 
 
@@ -206,6 +206,7 @@ def visibility_chain(n: int, q: float, etas) -> SequencePlan:
     """Propagate visibilities v_1 = q, v_{k+1} = v_k f_k through a sharpness list."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"visibility q must lie in [0, 1], got {q}")
+    _require_int(n)
     etas = tuple(float(e) for e in etas)
     factors, visibilities, predicted = [], [], []
     v = float(q)
@@ -265,6 +266,8 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
     state is held at a time. Sizes whose 2^n states together exceed
     ``STATE_BYTES_BUDGET`` are refused before anything is built.
     """
+    _require_int(n)
+    n = int(n)  # a numpy n would wrap the guard's int64 product to 0 from n = 30
     state_bytes = 2**n * 4 ** (n // 2) * 16
     if state_bytes > STATE_BYTES_BUDGET:
         raise ValueError(

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import re
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqcontext
 from seqcontext import cli, ensembles, equivalence_lp, selfcheck, sequence
 from seqcontext.cli import dispatch, fixture_path
 from seqcontext.sampling import sample_counts
@@ -460,3 +466,22 @@ def test_povm_completeness_detail_matches_a_per_operator_reference():
                 worst = max(worst, float(np.max(np.abs(total - eye))))
     result = selfcheck.check_povm_completeness()
     assert result.ok and result.detail == f"max |sum K'K - 1| = {worst:.3e}"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    closed_form, simulated, lp = (line.split() for line in out.getvalue().splitlines())
+    assert len(closed_form) == len(simulated) == 3 and len(lp) == 3
+
+
+def test_all_names_every_public_non_module_name_of_the_package():
+    bound = {
+        name
+        for name, value in vars(seqcontext).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(seqcontext.__all__) == sorted(bound)

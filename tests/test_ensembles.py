@@ -9,9 +9,7 @@ from seqcontext.ensembles import (
     check_operational_equivalence,
     constraint_signs,
     parity_signs,
-    partial_trace_construction,
     setting_signs,
-    signed_observable_sum,
 )
 from seqcontext.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, build_observables, identity
 from seqcontext.sequence import evolve_average
@@ -137,10 +135,10 @@ def test_ensemble_bloch_radius_scales_with_visibility():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_signed_sum_squares_to_identity(n):
-    obs = build_observables(n)
+    dim = build_observables(n).dim
     for x in all_bit_strings(n):
-        a = signed_observable_sum(obs, x)
-        np.testing.assert_allclose(a @ a, identity(obs.dim), atol=1e-12)
+        a = dim * build_preparation(n, x, 1.0) - identity(dim)  # A_x, from rho_x = (1 + A_x) / dim
+        np.testing.assert_allclose(a @ a, identity(dim), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -175,6 +173,44 @@ def test_build_preparation_validates_input():
         build_preparation(3, "002", 1.0)
     with pytest.raises(ValueError):
         build_preparation(3, "000", 1.5)
+
+
+def _permute_qubits(rho, perm):
+    """Reorder tensor factors so that new position p holds old qubit perm[p]."""
+    t = len(perm)
+    tensor = rho.reshape((2,) * (2 * t))
+    axes = perm + [t + p for p in perm]
+    return tensor.transpose(axes).reshape(2**t, 2**t)
+
+
+def partial_trace_construction(n, x):
+    """The entangled-pair form of the preparation, evaluated literally: an independent oracle.
+
+    Builds maximally entangled two-qubit pairs, reorders qubits so all kept
+    halves trail all traced halves (halves of pair j stay paired), applies
+    (1 + A_x) to the traced block and contracts it. The result equals the
+    transpose of ``build_preparation(n, x, 1)``.
+    """
+    obs = build_observables(n)
+    pairs = n // 2
+    dim = obs.dim
+
+    pair_vec = np.zeros(4, dtype=complex)
+    pair_vec[0] = pair_vec[3] = 1.0 / np.sqrt(2.0)
+    pair = np.outer(pair_vec, pair_vec.conj())
+
+    state = pair
+    for _ in range(pairs - 1):
+        state = np.kron(state, pair)
+
+    # Qubit order so far: A1 B1 A2 B2 ...; move to A1..Am B1..Bm.
+    perm = [2 * j for j in range(pairs)] + [2 * j + 1 for j in range(pairs)]
+    state = _permute_qubits(state, perm)
+
+    signed_sum = sum((-1.0 if bit == "1" else 1.0) * g for bit, g in zip(x, obs.observables)) / np.sqrt(n)
+    op = np.kron(identity(dim) + signed_sum, identity(dim))
+    full = op @ state
+    return np.einsum("aiaj->ij", full.reshape(dim, dim, dim, dim))
 
 
 def test_partial_trace_frozen_case_n2():

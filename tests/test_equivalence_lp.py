@@ -1,18 +1,12 @@
+import json
 import time
 
 import numpy as np
 import pytest
 
 from seqcontext import ensembles, equivalence_lp
-from seqcontext.cli import fixture_path
-from seqcontext.equivalence_lp import (
-    WeightMatrix,
-    closeness,
-    enforce_equivalences,
-    normalized_closeness,
-    parity_residual,
-    winning_to_outcome,
-)
+from seqcontext.cli import dispatch, fixture_path
+from seqcontext.equivalence_lp import enforce_equivalences, parity_residual, winning_to_outcome
 from seqcontext.sequence import MarginalTable, read_marginal_csv, run_sequence, witness
 from seqcontext.simplex import LinearProgramResult
 
@@ -65,20 +59,41 @@ def test_winning_to_outcome_at_n16_stays_fast():
     assert np.array_equal(p0[-1], [0.75] * n)
 
 
-def test_closeness_extremes():
-    identity_w = WeightMatrix(n=3, omega=np.eye(8))
-    assert closeness(identity_w) == pytest.approx(8.0)
-    assert normalized_closeness(identity_w) == pytest.approx(1.0)
-    uniform_w = WeightMatrix(n=3, omega=np.full((8, 8), 1.0 / 8.0))
-    assert closeness(uniform_w) == pytest.approx(1.0)
-    assert normalized_closeness(uniform_w) == pytest.approx(1.0 / 8.0)
+def optimum_on_every_call(monkeypatch, omega):
+    """Make every solve_lp call report ``omega`` (then a zero slack, if any) as its optimum."""
+
+    def fake(c, rows, rhs):
+        x = np.zeros(c.size)
+        x[: omega.size] = omega.reshape(-1)
+        return LinearProgramResult(status="optimal", x=x, objective=float(c @ x), residual=0.0)
+
+    monkeypatch.setattr(equivalence_lp, "solve_lp", fake)
 
 
-def test_weight_matrix_validation():
-    with pytest.raises(ValueError):
-        WeightMatrix(n=2, omega=np.full((4, 4), 0.3))  # rows sum to 1.2
-    with pytest.raises(ValueError):
-        WeightMatrix(n=2, omega=-np.eye(4))
+def test_closeness_extremes(monkeypatch):
+    # F = trace(omega) and F / 2^n, on optima that satisfy the parity constraints of an ideal table
+    ideal = run_sequence(3, 1.0, [1.0])[0]
+    for omega, f_raw in [(np.eye(8), 8.0), (np.full((8, 8), 1.0 / 8.0), 1.0)]:
+        optimum_on_every_call(monkeypatch, omega)
+        result = enforce_equivalences(ideal)
+        assert result.omega.omega.tobytes() == omega.tobytes()
+        assert result.closeness_raw == pytest.approx(f_raw, abs=1e-15)
+        assert result.closeness_normalized == pytest.approx(f_raw / 8.0, abs=1e-15)
+        payload = result.to_json_dict()
+        assert (payload["F_raw"], payload["F_normalized"]) == (result.closeness_raw, result.closeness_normalized)
+
+
+def test_weight_matrix_validation(monkeypatch, capsys):
+    # an optimal solve whose weights are not row-stochastic is a solver failure: RuntimeError, exit 3
+    negative = np.eye(8)
+    negative[0, :2] = [1.5, -0.5]  # rows still sum to 1
+    for omega in (np.full((8, 8), 0.15), negative):  # rows sum to 1.2; one entry below -1e-12
+        optimum_on_every_call(monkeypatch, omega)
+        with pytest.raises(RuntimeError, match="not row-stochastic"):
+            enforce_equivalences(read_marginal_csv(fixture_path("observer1")))
+        assert dispatch(["lp", "--fixture", "observer1"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]["code"] == 3 and "not row-stochastic" in report["error"]["message"]
 
 
 def test_ideal_table_needs_no_correction():

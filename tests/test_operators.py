@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from seqcontext import selfcheck
 from seqcontext.operators import (
-    IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -11,50 +11,14 @@ from seqcontext.operators import (
     is_density_matrix,
     is_hermitian,
     is_positive_semidefinite,
-    tensor_product,
-    verify_anticommutation,
 )
 
 
 def test_pauli_conventions():
     assert SIGMA_Y[0, 1] == -1j
     assert SIGMA_Y[1, 0] == 1j
-    np.testing.assert_array_equal(SIGMA_X @ SIGMA_X, IDENTITY_2)
+    np.testing.assert_array_equal(SIGMA_X @ SIGMA_X, np.eye(2))
     np.testing.assert_allclose(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z)
-
-
-def test_tensor_product_identity_case():
-    np.testing.assert_array_equal(tensor_product(IDENTITY_2, IDENTITY_2), identity(4))
-
-
-def test_tensor_product_block_structure():
-    # left factor indexes blocks: sigma_z x sigma_x = diag(sigma_x, -sigma_x)
-    result = tensor_product(SIGMA_Z, SIGMA_X)
-    np.testing.assert_array_equal(result[:2, :2], SIGMA_X)
-    np.testing.assert_array_equal(result[2:, 2:], -SIGMA_X)
-    np.testing.assert_array_equal(result[:2, 2:], np.zeros((2, 2)))
-
-
-def test_tensor_product_dimensions():
-    a = np.ones((2, 2))
-    b = np.ones((4, 4))
-    assert tensor_product(a, b).shape == (8, 8)
-
-
-def test_tensor_product_associative():
-    # integer-valued entries make the float products exact, so equality is bitwise
-    rng = np.random.default_rng(11)
-    a = rng.integers(-5, 6, size=(2, 2)) + 1j * rng.integers(-5, 6, size=(2, 2))
-    b = rng.integers(-5, 6, size=(3, 3)) + 1j * rng.integers(-5, 6, size=(3, 3))
-    c = rng.integers(-5, 6, size=(2, 2)) + 1j * rng.integers(-5, 6, size=(2, 2))
-    np.testing.assert_array_equal(
-        tensor_product(tensor_product(a, b), c), tensor_product(a, tensor_product(b, c))
-    )
-
-
-def test_tensor_product_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        tensor_product(np.ones((2, 3)), IDENTITY_2)
 
 
 def test_base_families():
@@ -75,7 +39,11 @@ def test_family_n4_expansion():
     np.testing.assert_array_equal(four.observables[0], np.kron(SIGMA_X, SIGMA_X))
     np.testing.assert_array_equal(four.observables[1], np.kron(SIGMA_Y, SIGMA_X))
     np.testing.assert_array_equal(four.observables[2], np.kron(SIGMA_Z, SIGMA_X))
-    np.testing.assert_array_equal(four.observables[3], np.kron(IDENTITY_2, SIGMA_Y))
+    np.testing.assert_array_equal(four.observables[3], np.kron(np.eye(2), SIGMA_Y))
+    # the left factor indexes blocks: sigma_z x sigma_x = diag(sigma_x, -sigma_x)
+    np.testing.assert_array_equal(four.observables[2][:2, :2], SIGMA_X)
+    np.testing.assert_array_equal(four.observables[2][2:, 2:], -SIGMA_X)
+    np.testing.assert_array_equal(four.observables[2][:2, 2:], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -87,19 +55,21 @@ def test_family_algebra(n):
         assert is_hermitian(g)
         assert abs(np.trace(g)) <= 1e-12
         np.testing.assert_allclose(g @ g, identity(family.dim), atol=1e-12)
-    report = verify_anticommutation(family)
-    assert report.ok, report
+    g = family.stack
+    anti = g[:, None] @ g[None] + g[None] @ g[:, None]
+    expected = 2.0 * np.eye(n)[:, :, None, None] * identity(family.dim)
+    np.testing.assert_allclose(anti, expected, atol=1e-12)
 
 
-def test_verify_anticommutation_detects_failure():
+def test_verify_anticommutation_detects_failure(monkeypatch):
+    # verify's anticommutation check on a family whose two observables commute
     good = build_observables(2)
     broken = type(good)(n=2, dim=2, observables=(SIGMA_X, SIGMA_X))
-    report = verify_anticommutation(broken)
-    assert not report.ok
+    monkeypatch.setattr(selfcheck, "build_observables", lambda n: broken if n == 3 else build_observables(n))
+    result = selfcheck.check_anticommutation()
+    assert not result.ok
     # off-diagonal anticommutator is 2*sigma_x^2 = 2*identity
-    assert report.max_residual == pytest.approx(2.0)
-    assert report.worst_pair == (1, 2)
-
+    assert result.detail == "n=3: residual 2.000e+00 at pair (1, 2)"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
@@ -147,6 +117,10 @@ def test_predicates_on_non_examples():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
     assert not is_positive_semidefinite(-np.eye(2))
     assert is_positive_semidefinite(np.diag([1.0, 0.0]))
+    for not_square in (np.ones((2, 3)), np.ones(4), np.ones((5, 2, 3))):
+        for predicate in (is_hermitian, is_positive_semidefinite, is_density_matrix):
+            with pytest.raises(ValueError, match="must be a"):
+                predicate(not_square)
 
 
 def _eigvalsh_decision(m, tol):

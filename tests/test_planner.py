@@ -11,6 +11,7 @@ from seqcontext.planner import (
     max_shared_observers,
     min_dimension_parameter,
 )
+from seqcontext.sequence import UnsharpSetting, noncontextual_bound, quality_factor, run_sequence, visibility_chain
 
 # frozen from the saturation recursion evaluated independently
 CHAIN_3_ETAS = [0.5773502691896258, 0.6578257903063879, 0.7873940415107455]
@@ -189,3 +190,36 @@ def test_anonymous_formulas_refuse_n_beyond_exact_floats(n):
         anonymous_optimum(n)
     with pytest.raises(ValueError):
         anonymous_chain_length(n, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(run_sequence, (3.0, 1, [0.5]), id="run_sequence"),
+        pytest.param(critical_chain, (3.5, 1), id="critical_chain"),
+        pytest.param(quality_factor, (2.5, 0.5), id="quality_factor"),
+        pytest.param(visibility_chain, (2.5, 1.0, [0.5]), id="visibility_chain"),
+        pytest.param(visibility_chain, (1, 0.5, []), id="visibility_chain-n1"),
+        pytest.param(anonymous_chain_length, (2.5, 1.0), id="anonymous_chain_length"),
+        pytest.param(anonymous_optimum, (3.5,), id="anonymous_optimum"),
+        pytest.param(min_dimension_parameter, (1.5, 1), id="min_dimension_parameter"),
+        pytest.param(noncontextual_bound, (0,), id="noncontextual_bound"),
+        pytest.param(UnsharpSetting, (3.0, 1, 0, 0.5), id="UnsharpSetting-n"),
+        pytest.param(UnsharpSetting, (3, 1.0, 0, 0.5), id="UnsharpSetting-y"),
+    ],
+)
+def test_library_entry_points_refuse_a_non_integer_or_too_small_n(fn, args):
+    with pytest.raises(ValueError, match="must be an integer|must be >= 2"):
+        fn(*args)
+
+
+def test_library_entry_points_accept_numpy_integers():
+    n = np.int64(3)
+    assert critical_chain(n, 1.0) == critical_chain(3, 1.0)
+    assert quality_factor(n, 0.5) == quality_factor(3, 0.5)
+    assert noncontextual_bound(n) == noncontextual_bound(3)
+    assert visibility_chain(n, 0.9, [0.5]) == visibility_chain(3, 0.9, [0.5])
+    assert anonymous_chain_length(n, 1.0) == anonymous_chain_length(3, 1.0)
+    assert min_dimension_parameter(np.int64(2), 0.5) == min_dimension_parameter(2, 0.5)
+    assert UnsharpSetting(n=n, y=np.int64(2), b=0, eta=0.5) == UnsharpSetting(n=3, y=2, b=0, eta=0.5)
+    assert np.array_equal(run_sequence(n, 0.9, [0.5])[0].win, run_sequence(3, 0.9, [0.5])[0].win)

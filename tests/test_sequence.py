@@ -349,6 +349,8 @@ def test_run_sequence_refuses_sizes_above_budget(monkeypatch):
         run_sequence(12, 1.0, [0.5])
     with pytest.raises(ValueError, match="visibility_chain"):
         run_sequence(30, 1.0, [0.5])
+    with pytest.raises(ValueError, match="visibility_chain"):
+        run_sequence(np.int64(64), 1.0, [0.5])  # int64 arithmetic would wrap the size to 0
 
 
 def test_run_sequence_no_signal_at_zero_visibility():
