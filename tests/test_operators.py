@@ -40,10 +40,15 @@ def test_family_n4_expansion():
     np.testing.assert_array_equal(four.observables[1], np.kron(SIGMA_Y, SIGMA_X))
     np.testing.assert_array_equal(four.observables[2], np.kron(SIGMA_Z, SIGMA_X))
     np.testing.assert_array_equal(four.observables[3], np.kron(np.eye(2), SIGMA_Y))
-    # the left factor indexes blocks: sigma_z x sigma_x = diag(sigma_x, -sigma_x)
-    np.testing.assert_array_equal(four.observables[2][:2, :2], SIGMA_X)
-    np.testing.assert_array_equal(four.observables[2][2:, 2:], -SIGMA_X)
-    np.testing.assert_array_equal(four.observables[2][:2, 2:], np.zeros((2, 2)))
+
+
+def test_tensor_product_block_structure():
+    # the family's Kronecker products put the left factor on the blocks:
+    # sigma_z x sigma_x = diag(sigma_x, -sigma_x)
+    result = build_observables(4).observables[2]
+    np.testing.assert_array_equal(result[:2, :2], SIGMA_X)
+    np.testing.assert_array_equal(result[2:, 2:], -SIGMA_X)
+    np.testing.assert_array_equal(result[:2, 2:], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -117,6 +122,10 @@ def test_predicates_on_non_examples():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
     assert not is_positive_semidefinite(-np.eye(2))
     assert is_positive_semidefinite(np.diag([1.0, 0.0]))
+
+
+def test_tensor_product_rejects_nonsquare():
+    # the operator predicates take (..., d, d) input and reject anything else
     for not_square in (np.ones((2, 3)), np.ones(4), np.ones((5, 2, 3))):
         for predicate in (is_hermitian, is_positive_semidefinite, is_density_matrix):
             with pytest.raises(ValueError, match="must be a"):
