@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import build_ensemble, check_operational_equivalence
 from .operators import DEFAULT_TOL, build_observables, identity
 from .planner import critical_chain
-from .sequence import _kraus_stack, evolve_average, visibility_chain
+from .sequence import _evolve, _kraus_stack, visibility_chain
 from .simplex import solve_lp
 
 ANTICOMMUTATION_N_MAX = 10
@@ -90,7 +90,7 @@ def check_visibility_lemma(seed: int = 20240, draws_per_n: int = 20, tol: float 
                 expected = plan.visibilities[k] * pure + (1.0 - plan.visibilities[k]) * mix
                 worst = max(worst, float(np.max(np.abs(states - expected))))
                 if k + 1 < len(etas):
-                    states = evolve_average(states, etas[k], n)
+                    states = _evolve(states, etas[k], n)
     ok = worst <= tol
     return CheckResult("visibility_lemma", ok, f"max |simulated - closed form| = {worst:.3e}")
 
@@ -117,7 +117,7 @@ def check_equivalence_preserved() -> CheckResult:
     """Averaged channels are unital, so parity equivalences must survive evolution."""
     worst = 0.0
     for n, q, eta in [(2, 1.0, 0.9), (3, 1.0, 0.6441), (3, 0.4, 1.0), (4, 0.8, 0.5)]:
-        report = check_operational_equivalence(evolve_average(build_ensemble(n, q), eta, n))
+        report = check_operational_equivalence(_evolve(build_ensemble(n, q), eta, n))
         worst = max(worst, report.residual)
         if not report.passed:
             return CheckResult(

@@ -141,7 +141,11 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     build_observables(n)  # ValueError for a bad n, before the state is checked
     if not is_density_matrix(state, tol=1e-8):
         raise ValueError("evolve_average requires a density matrix input")
-    state = np.asarray(state, dtype=complex)
+    return _evolve(np.asarray(state, dtype=complex), eta, n)
+
+
+def _evolve(state: np.ndarray, eta: float, n: int) -> np.ndarray:
+    """``evolve_average`` without its density-matrix check, for complex states the caller built itself."""
     # Every K is Hermitian entry for entry, so K itself is the right factor K^dagger.
     kraus = _kraus_stack(n, eta)
     d = state.shape[-1]

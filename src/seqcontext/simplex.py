@@ -1,11 +1,13 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
-Solves  max c.x  subject to  A x = b, x >= 0  on a dense tableau. Bland's
-smallest-index rule picks the entering column and breaks ratio-test ties,
-which precludes cycling on degenerate vertices. Long degenerate pivot runs
-accumulate floating-point drift in a tableau method, so the tableau is
-periodically recomputed ("reinverted") from the original data at the current
-basis, and optimality is only declared on a freshly recomputed tableau.
+Solves  max c.x  subject to  A x = b, x >= 0  on a dense tableau. The reduced
+costs are carried as the tableau's last row, so each pivot's one rank-1 update
+refreshes them with the constraint rows. Bland's smallest-index rule picks the
+entering column and breaks ratio-test ties, which precludes cycling on
+degenerate vertices. Long degenerate pivot runs accumulate floating-point drift
+in a tableau method, so the tableau is periodically recomputed ("reinverted")
+from the original data at the current basis, and optimality is only declared
+on a freshly recomputed tableau.
 Intended for the small dense instances this package produces (tens to a few
 hundred variables); no sparsity or revised-simplex machinery.
 """
@@ -31,30 +33,43 @@ class LinearProgramResult:
     x: np.ndarray | None
     objective: float | None
     residual: float | None
+    # Deterministic solver counters; no report prints them.
+    pivots: tuple[int, int] = (0, 0)  # phase 1 (artificial drive-out included), phase 2
+    degenerate_pivots: int = 0  # pivots whose ratio-test step was 0
+    reinversions: int = 0  # fresh solves after each phase's first
+    max_drift: float = 0.0  # largest |updated - fresh| tableau entry at a reinversion
 
 
-def _refreshed_tableau(w: np.ndarray, b: np.ndarray, basis: list[int]) -> np.ndarray:
-    """Recompute B^-1 [W | b] from the original data at the current basis."""
-    full = np.hstack([w, b[:, None]])
+def _refreshed_tableau(full: np.ndarray, c: np.ndarray, basis: list[int]) -> np.ndarray:
+    """B^-1 [W | b] recomputed from the original data at the current basis, with the
+    reduced costs c_B B^-1 W - c and the objective c_B B^-1 b as its last row."""
     try:
-        return np.linalg.solve(w[:, basis], full)
+        body = np.linalg.solve(full[:, basis], full)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(w[:, basis], full, rcond=None)[0]
-
-
-def _reduced_costs(c: np.ndarray, tableau: np.ndarray, basis: list[int]) -> np.ndarray:
-    return c[basis] @ tableau[:, :-1] - c
+        body = np.linalg.lstsq(full[:, basis], full, rcond=None)[0]
+    c_basis = c[basis]
+    tableau = np.empty((body.shape[0] + 1, body.shape[1]))
+    tableau[:-1] = body
+    np.subtract(c_basis @ body[:, :-1], c, out=tableau[-1, :-1])
+    tableau[-1, -1] = c_basis @ body[:, -1]
+    return tableau
 
 
 def _choose_pivot_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
-    """Min-ratio row with Bland tie-break; prefers well-scaled pivot elements."""
-    coeffs = tableau[:, col]
+    """Min-ratio row with Bland tie-break; prefers well-scaled pivot elements.
+
+    Scans the len(basis) constraint rows as Python floats read once, so a reduced-cost
+    row below them is never a candidate.
+    """
+    coeffs = tableau[: len(basis), col].tolist()
+    rhs = tableau[: len(basis), -1].tolist()
     for threshold in (_PREFERRED_PIVOT, _PIVOT_TOL):
-        rows = (coeffs > threshold).nonzero()[0]
         leave, best_ratio = -1, np.inf
-        for i, ratio in zip(rows.tolist(), (np.maximum(tableau[rows, -1], 0.0) / coeffs[rows]).tolist()):
+        for i in [i for i, coeff in enumerate(coeffs) if coeff > threshold]:
+            # max(rhs, 0) / coeff and abs(ratio - best) <= tie, without the builtin calls
+            ratio = (0.0 if rhs[i] < 0.0 else rhs[i]) / coeffs[i]
             if ratio < best_ratio - _RATIO_TIE_TOL or (
-                abs(ratio - best_ratio) <= _RATIO_TIE_TOL and (leave < 0 or basis[i] < basis[leave])
+                -_RATIO_TIE_TOL <= ratio - best_ratio <= _RATIO_TIE_TOL and (leave < 0 or basis[i] < basis[leave])
             ):
                 best_ratio = ratio
                 leave = i
@@ -64,6 +79,7 @@ def _choose_pivot_row(tableau: np.ndarray, basis: list[int], col: int) -> int:
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """One rank-1 update of every row, a reduced-cost row below the constraints included."""
     tableau[row] /= tableau[row, col]
     column = tableau[:, col].copy()
     column[row] = 0.0
@@ -71,36 +87,42 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _maximize(w: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]):
-    """Run Bland pivots with periodic reinversion until verified optimality.
+def _maximize(full: np.ndarray, c: np.ndarray, basis: list[int], counts: dict):
+    """Run Bland pivots on [W | b] with periodic reinversion until verified optimality.
 
-    Returns (status, tableau); ``basis`` is updated in place.
+    Returns (status, tableau without its reduced-cost row, pivots made); ``basis`` is
+    updated in place, and ``counts`` gains the degenerate pivots, the reinversions and
+    the largest drift seen at one.
     """
+
+    def reinverted(tableau):
+        fresh = _refreshed_tableau(full, c, basis)
+        counts["reinversions"] += 1
+        counts["max_drift"] = max(counts["max_drift"], float(np.abs(fresh - tableau).max()))
+        return fresh
+
+    tableau = _refreshed_tableau(full, c, basis)
     pivots = 0
     while pivots <= _MAX_PIVOTS:
-        tableau = _refreshed_tableau(w, b, basis)
-        reduced = _reduced_costs(c, tableau, basis)
         moved = False
         for _ in range(_REFRESH_INTERVAL):
-            entering = (reduced < -_REDUCED_COST_TOL).nonzero()[0]
-            if not entering.size:
+            enter = int((tableau[-1, :-1] < -_REDUCED_COST_TOL).argmax())  # Bland: the first improving column
+            if not tableau[-1, enter] < -_REDUCED_COST_TOL:
                 if not moved:
-                    return "optimal", tableau
+                    return "optimal", tableau[:-1], pivots
                 break  # refresh once more before declaring optimality
-            enter = int(entering[0])
             leave = _choose_pivot_row(tableau, basis, enter)
             if leave < 0:
                 # verify unboundedness on fresh data before reporting it
-                fresh = _refreshed_tableau(w, b, basis)
-                if np.all(fresh[:, enter] <= _PIVOT_TOL):
-                    return "unbounded", fresh
-                tableau = fresh
-                reduced = _reduced_costs(c, tableau, basis)
+                tableau = reinverted(tableau)
+                if np.all(tableau[:-1, enter] <= _PIVOT_TOL):
+                    return "unbounded", tableau[:-1], pivots
                 continue
+            counts["degenerate_pivots"] += tableau.item(leave, -1) <= 0.0
             _pivot(tableau, basis, leave, enter)
-            reduced = reduced - reduced[enter] * tableau[leave, :-1]
             pivots += 1
             moved = True
+        tableau = reinverted(tableau)
     raise RuntimeError("simplex failed to terminate; pivot tolerance breakdown")
 
 
@@ -131,13 +153,14 @@ def solve_lp(objective, a_eq, b_eq) -> LinearProgramResult:
     m, nvar = a.shape
 
     # Phase 1: artificial basis, maximize -(sum of artificials).
-    w1 = np.hstack([a, np.eye(m)])
+    w1 = np.hstack([a, np.eye(m), b[:, None]])
     c1 = np.concatenate([np.zeros(nvar), -np.ones(m)])
     basis = list(range(nvar, nvar + m))
-    status, tableau = _maximize(w1, b, c1, basis)
+    counts = {"degenerate_pivots": 0, "reinversions": 0, "max_drift": 0.0}
+    status, tableau, phase1 = _maximize(w1, c1, basis, counts)
     value = float(c1[basis] @ tableau[:, -1])
     if status != "optimal" or value < -_FEASIBILITY_TOL:
-        return LinearProgramResult(status="infeasible", x=None, objective=None, residual=None)
+        return LinearProgramResult("infeasible", None, None, None, (phase1, 0), **counts)
 
     # Drive leftover artificials out of the basis; rows with no structural
     # pivot are redundant constraints and get dropped.
@@ -148,15 +171,14 @@ def solve_lp(objective, a_eq, b_eq) -> LinearProgramResult:
             if not candidates.size:
                 continue
             _pivot(tableau, basis, i, int(candidates[0]))
+            phase1 += 1
         keep_rows.append(i)
-    a2 = a[keep_rows]
-    b2 = b[keep_rows]
     basis = [basis[i] for i in keep_rows]
 
     # Phase 2 on the structural columns only.
-    status, tableau = _maximize(a2, b2, c, basis)
+    status, tableau, phase2 = _maximize(np.hstack([a[keep_rows], b[keep_rows, None]]), c, basis, counts)
     if status == "unbounded":
-        return LinearProgramResult(status="unbounded", x=None, objective=None, residual=None)
+        return LinearProgramResult("unbounded", None, None, None, (phase1, phase2), **counts)
 
     x = np.zeros(nvar)
     x[basis] = tableau[:, -1]
@@ -166,4 +188,4 @@ def solve_lp(objective, a_eq, b_eq) -> LinearProgramResult:
     residual = float(np.max(np.abs(a_orig @ x - b_orig))) if m else 0.0
     if residual > _FEASIBILITY_TOL:
         raise RuntimeError(f"simplex produced residual {residual:.3e} above {_FEASIBILITY_TOL}")
-    return LinearProgramResult(status="optimal", x=x, objective=float(c @ x), residual=residual)
+    return LinearProgramResult("optimal", x, float(c @ x), residual, (phase1, phase2), **counts)

@@ -179,6 +179,20 @@ def test_single_state_evolve_average_is_byte_equal_to_an_explicit_kraus_sum(n):
             assert evolve_average(states[ix], eta, n).tobytes() == expected[ix].tobytes()
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_unchecked_evolve_core_is_byte_equal_to_evolve_average(n):
+    # selfcheck evolves the stacks it builds through the core, without the density-matrix check
+    seeded = float(np.random.default_rng(2000 + n).uniform())
+    for q in (1.0, 0.83):
+        states = build_ensemble(n, q)
+        for eta in (0.0, 0.37, 0.6441, 1.0, seeded):
+            core, public = sequence._evolve(states, eta, n), evolve_average(states, eta, n)
+            assert core.tobytes() == public.tobytes()
+            assert sequence._evolve(core, eta, n).tobytes() == evolve_average(public, eta, n).tobytes()
+            for ix in (0, len(states) - 1):
+                assert sequence._evolve(states[ix], eta, n).tobytes() == evolve_average(states[ix], eta, n).tobytes()
+
+
 def _with_bad_slice(kind):
     stack = build_ensemble(3, 0.5)
     bad = {

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from seqcontext import simplex
+from seqcontext.cli import fixture_path
+from seqcontext.equivalence_lp import _build_program, winning_to_outcome
 from seqcontext.selfcheck import enumerate_vertex_optimum
+from seqcontext.sequence import read_marginal_csv
 from seqcontext.simplex import solve_lp
 
 
@@ -136,3 +139,31 @@ def test_pivot_row_matches_the_scalar_ratio_test():
             else:
                 kinds["small-only"] += 1
     assert min(kinds.values()) > 20, kinds
+
+
+def test_counters_of_small_programs():
+    trivial = solve_lp([1.0, 0.0], [[1.0, 1.0]], [1.0])
+    # one phase-1 pivot, then the fresh solve that confirms its optimum; phase 2 starts optimal
+    assert (trivial.pivots, trivial.degenerate_pivots, trivial.reinversions, trivial.max_drift) == ((1, 0), 0, 1, 0.0)
+    infeasible = solve_lp([1.0, 0.0], [[1.0, 1.0]], [-1.0])
+    assert (infeasible.pivots, infeasible.degenerate_pivots, infeasible.reinversions) == ((0, 0), 0, 0)
+    a = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0, 0.0]])
+    stack = solve_lp([1.0, 1.0, 1.0, 1.0, -1.0], a, [1.0, 0.0, 0.0])
+    assert stack.pivots == (3, 0) and stack.degenerate_pivots == 2  # two rows start at 0
+
+
+def test_counters_are_deterministic_and_bounded_on_a_fixture_program():
+    table = read_marginal_csv(fixture_path("observer1"))
+    program = _build_program(winning_to_outcome(table.win), table.n)
+    first, second = solve_lp(*program), solve_lp(*program)
+    counters = (first.pivots, first.degenerate_pivots, first.reinversions, first.max_drift)
+    assert counters == (second.pivots, second.degenerate_pivots, second.reinversions, second.max_drift)
+    assert min(first.pivots) > 0 and first.degenerate_pivots <= sum(first.pivots)
+    assert first.reinversions >= sum(first.pivots) // 60  # one per 60 pivots at least
+    # entries reach about 1.5e3 in this solve; the drift stays near 1e-9 of that
+    assert 0.0 < first.max_drift < 1e-5
+
+
+def test_counters_default_for_results_built_without_them():
+    result = simplex.LinearProgramResult(status="infeasible", x=None, objective=None, residual=None)
+    assert (result.pivots, result.degenerate_pivots, result.reinversions, result.max_drift) == ((0, 0), 0, 0, 0.0)
