@@ -42,19 +42,15 @@ FIXTURE_NAMES = ("observer1", "observer2", "observer3")
 SWEEP_MAX_POINTS = 10_000
 
 
-class CliError(ValueError):
-    """Invalid configuration; like every ``ValueError`` it maps to exit code 2."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled recorded-table fixture (observer1..observer3)."""
     if name not in FIXTURE_NAMES:
-        raise CliError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+        raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     return Path(str(files("seqcontext") / "fixtures" / f"{name}.csv"))
 
 
@@ -94,7 +90,7 @@ def _load_table(args):
         return read_marginal_csv(fixture_path(args.fixture)), f"fixture:{args.fixture}"
     path = Path(args.input)
     if not path.exists():
-        raise CliError(f"input file {path} does not exist")
+        raise ValueError(f"input file {path} does not exist")
     return read_marginal_csv(path), str(path)
 
 
@@ -158,7 +154,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_anonymous(args) -> int:
     if (args.theta is None) == (not args.optimize):
-        raise CliError("provide exactly one of --theta or --optimize")
+        raise ValueError("provide exactly one of --theta or --optimize")
     if args.optimize:
         opt = anonymous_optimum(args.n)
         results = {"theta_star": opt.theta_star, "k_star": opt.k_star, "floor_k_star": math.floor(opt.k_star)}
@@ -213,26 +209,26 @@ def _cmd_sample(args) -> int:
 def _sweep_rows(args) -> tuple[list[str], list[list]]:
     lo, hi, count = args.range
     if not (1 <= count <= SWEEP_MAX_POINTS and count.is_integer()):
-        raise CliError(f"--range COUNT must be an integer in 1..{SWEEP_MAX_POINTS}, got {count:g}")
+        raise ValueError(f"--range COUNT must be an integer in 1..{SWEEP_MAX_POINTS}, got {count:g}")
     count = int(count)
     if args.mode == "noise":
         if args.n is None:
-            raise CliError("--mode noise requires --n")
+            raise ValueError("--mode noise requires --n")
         qs = np.linspace(lo, hi, count)
         return ["n", "q", "violations"], [[args.n, float(q), max_shared_observers(args.n, float(q))] for q in qs]
     if args.mode == "dimension":
         if args.q is None:
-            raise CliError("--mode dimension requires --q")
+            raise ValueError("--mode dimension requires --q")
         if not (math.isfinite(lo) and math.isfinite(hi) and max(lo, hi) <= planner.MAX_CHAIN_N):
-            raise CliError(f"--mode dimension needs finite MIN and MAX up to {planner.MAX_CHAIN_N}, got {lo:g} {hi:g}")
+            raise ValueError(f"--mode dimension needs finite MIN and MAX up to {planner.MAX_CHAIN_N}, got {lo:g} {hi:g}")
         ns = sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
         return ["n", "q", "violations"], [[n, args.q, max_shared_observers(n, args.q)] for n in ns]
     if args.mode == "anonymous":
         if args.n is None:
-            raise CliError("--mode anonymous requires --n")
+            raise ValueError("--mode anonymous requires --n")
         thetas = np.linspace(lo, hi, count)
         return ["n", "theta", "k"], [[args.n, float(t), anonymous_chain_length(args.n, float(t))] for t in thetas]
-    raise CliError(f"unknown sweep mode {args.mode!r}")
+    raise ValueError(f"unknown sweep mode {args.mode!r}")
 
 
 def _cmd_sweep(args) -> int:
@@ -331,10 +327,8 @@ def dispatch(argv) -> int:
         command = args.command or command
         return args.func(args)
     except Exception as exc:
-        # The package raises ValueError, CliError included, only for bad input,
-        # and an OSError means a path that cannot be opened. LinAlgError
-        # subclasses ValueError but is a numerical failure, and so is every
-        # other exception.
+        # ValueError means bad input and OSError a path that cannot be opened. LinAlgError
+        # subclasses ValueError but is a numerical failure, like every other exception.
         bad_input = isinstance(exc, (ValueError, OSError)) and not isinstance(exc, np.linalg.LinAlgError)
         code = 2 if bad_input else 3
         print(json.dumps({"command": command, "error": {"code": code, "message": str(exc)}, "version": __version__}))

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import build_observables, identity
+from .operators import _require_unit, build_observables, identity
 
 # Largest entrywise residual at which two parity-class sums count as equal.
 EQUIVALENCE_TOL = 1e-10
@@ -62,8 +62,7 @@ def build_preparation(n: int, x: str, q: float) -> np.ndarray:
 
     A_x = n^(-1/2) * sum_y (-1)^(x_y) G_y squares to the identity because the G_y pairwise anticommute.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"visibility q must lie in [0, 1], got {q}")
+    _require_unit(q, "visibility q")
     obs = build_observables(n)
     if not isinstance(x, str) or len(x) != obs.n or any(c not in "01" for c in x):
         raise ValueError(f"x must be a bit string of length {obs.n}, got {x!r}")
@@ -91,8 +90,7 @@ def build_ensemble(n: int, q: float) -> np.ndarray:
     Each slice comes from the same elementwise operations, in the same order, as
     ``build_preparation``, so it is bit-equal to that call.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"visibility q must lie in [0, 1], got {q}")
+    _require_unit(q, "visibility q")
     dim = build_observables(n).dim  # ValueError for a bad n, before the cache sees it
     return (identity(dim) + q * _signed_sums(n)) / dim
 

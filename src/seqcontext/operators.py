@@ -41,13 +41,20 @@ def _as_square(matrix) -> np.ndarray:
     return m
 
 
-def _require_int(value, name: str = "n", low: int = 2) -> None:
-    """ValueError unless ``value`` is a Python or numpy integer (bool is refused) and at least ``low``."""
+def _require_int(value, name: str = "n", low: int = 2, high: int | None = None) -> None:
+    """ValueError unless a Python or numpy integer (bool is refused) in low..high, or >= low when high is None."""
     # The type test first: a plain int skips the slower isinstance test against numpy's integer class.
     if type(value) is not int and (not isinstance(value, (int, np.integer)) or isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value < low or high is not None and value > high:
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {span}, got {value}")
+
+
+def _require_unit(value, name: str) -> None:
+    """The package's one [0, 1] check, for every visibility q and sharpness eta; NaN is refused."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 # The three predicates take one d x d matrix or a (..., d, d) stack, and hold only when every slice passes.
@@ -116,8 +123,7 @@ class ObservableSet:
 
     def observable(self, y: int) -> np.ndarray:
         """Observable for 1-based setting index ``y``."""
-        if not 1 <= y <= self.n:
-            raise ValueError(f"setting index must be in 1..{self.n}, got {y}")
+        _require_int(y, "setting index", 1, self.n)
         return self.observables[y - 1]
 
     def __iter__(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .operators import _require_int
+from .operators import _require_int, _require_unit
 from .sequence import quality_factor
 
 # Largest n of a critical chain: a chain has up to n steps and the dimension search runs one
@@ -40,11 +40,8 @@ class ChainReport:
 
 def critical_chain(n: int, q: float) -> ChainReport:
     """Run the saturation recursion until the required sharpness exceeds 1."""
-    if not 2 <= n <= MAX_CHAIN_N:
-        raise ValueError(f"n must lie in 2..{MAX_CHAIN_N}, got {n}")
-    _require_int(n)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"visibility q must lie in [0, 1], got {q}")
+    _require_int(n, "n", 2, MAX_CHAIN_N)
+    _require_unit(q, "visibility q")
 
     sqrt_n = math.sqrt(n)
     v = float(q)
@@ -135,9 +132,7 @@ def anonymous_chain_length(n: int, theta: float) -> float:
     edge and raises below it (a single observer already fails to saturate).
     The integer number of saturating observers is floor of the result.
     """
-    if not 2 <= n <= MAX_FLOAT_N:
-        raise ValueError(f"n must lie in 2..2**53, got {n}")
-    _require_int(n)
+    _require_int(n, "n", 2, MAX_FLOAT_N)
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
     s = math.sin(theta)
@@ -185,9 +180,7 @@ def anonymous_optimum(n: int) -> AnonymousOptimum:
     Deterministic: a 512-point grid scan brackets the maximum, then
     golden-section refines it to 1e-10 in theta.
     """
-    if not 3 <= n <= MAX_FLOAT_N:
-        raise ValueError(f"n must lie in 3..2**53, got {n}")
-    _require_int(n)
+    _require_int(n, "n", 3, MAX_FLOAT_N)
     grid_points = 512
     lo = math.asin(1.0 / math.sqrt(n)) + 1e-9
     hi = math.pi / 2 - 1e-9

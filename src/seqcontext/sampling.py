@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .operators import _require_int
 from .sequence import MarginalTable
 
 
@@ -15,9 +16,7 @@ def sample_counts(table: MarginalTable, trials_per_setting: int, seed: int) -> M
     error sqrt(p(1-p)/N) of each estimate.
     """
     # The binomial draw takes a whole 64-bit count: it would truncate 2.5 to 2 trials and run True as 1.
-    whole = isinstance(trials_per_setting, (int, np.integer)) and not isinstance(trials_per_setting, bool)
-    if not whole or not 1 <= trials_per_setting <= np.iinfo(np.int64).max:
-        raise ValueError(f"trials_per_setting must be an integer in 1..2**63 - 1, got {trials_per_setting!r}")
+    _require_int(trials_per_setting, "trials_per_setting", 1, np.iinfo(np.int64).max)
     rng = np.random.default_rng(seed)
     counts = rng.binomial(trials_per_setting, table.win)
     win = counts / float(trials_per_setting)

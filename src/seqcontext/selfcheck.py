@@ -21,6 +21,10 @@ from .simplex import solve_lp
 
 ANTICOMMUTATION_N_MAX = 10
 POVM_N_MAX = 6
+VISIBILITY_DRAWS_PER_N = 20
+VISIBILITY_TOL = 1e-9  # largest |simulated - closed form| entry the visibility lemma allows
+SANDWICH_N_MAX = 12
+SANDWICH_MARGIN = 1e-12  # how far inside its bounds each critical step's drop must stay
 LP_ORACLE_SEED = 77
 LP_ORACLE_INSTANCES = 40
 LP_TOL = 1e-9  # feasibility of a vertex, and the largest simplex-vs-vertex objective gap
@@ -73,7 +77,7 @@ def check_povm_completeness() -> CheckResult:
     return CheckResult("povm_completeness", ok, f"max |sum K'K - 1| = {worst:.3e}")
 
 
-def check_visibility_lemma(seed: int = 20240, draws_per_n: int = 20, tol: float = 1e-9) -> CheckResult:
+def check_visibility_lemma(seed: int = 20240) -> CheckResult:
     """Evolved average states must equal v_k * rho_x(1) + (1 - v_k) * mix."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -81,7 +85,7 @@ def check_visibility_lemma(seed: int = 20240, draws_per_n: int = 20, tol: float 
         dim = build_observables(n).dim
         mix = np.eye(dim) / dim
         pure = build_ensemble(n, 1.0)
-        for _ in range(draws_per_n):
+        for _ in range(VISIBILITY_DRAWS_PER_N):
             q = float(rng.uniform(0.05, 1.0))
             etas = [float(e) for e in rng.uniform(0.0, 1.0, size=rng.integers(1, n + 1))]
             plan = visibility_chain(n, q, etas)
@@ -91,26 +95,26 @@ def check_visibility_lemma(seed: int = 20240, draws_per_n: int = 20, tol: float 
                 worst = max(worst, float(np.max(np.abs(states - expected))))
                 if k + 1 < len(etas):
                     states = _evolve(states, etas[k], n)
-    ok = worst <= tol
+    ok = worst <= VISIBILITY_TOL
     return CheckResult("visibility_lemma", ok, f"max |simulated - closed form| = {worst:.3e}")
 
 
-def check_sandwich(n_max: int = 12, margin: float = 1e-12) -> CheckResult:
+def check_sandwich() -> CheckResult:
     """Each critical step drops the squared visibility by strictly between
     (n-1)/n^2 and 1/n."""
-    for n in range(2, n_max + 1):
+    for n in range(2, SANDWICH_N_MAX + 1):
         report = critical_chain(n, 1.0)
         lower = (n - 1) / n**2
         upper = 1.0 / n
         for k in range(report.violations):
             drop = report.visibilities[k] ** 2 - report.visibilities[k + 1] ** 2
-            if not (lower + margin < drop < upper - margin):
+            if not (lower + SANDWICH_MARGIN < drop < upper - SANDWICH_MARGIN):
                 return CheckResult(
                     "visibility_sandwich",
                     False,
                     f"n={n}, step {k + 1}: drop {drop:.6e} outside ({lower:.6e}, {upper:.6e})",
                 )
-    return CheckResult("visibility_sandwich", True, f"strict for all steps, n=2..{n_max}")
+    return CheckResult("visibility_sandwich", True, f"strict for all steps, n=2..{SANDWICH_N_MAX}")
 
 
 def check_equivalence_preserved() -> CheckResult:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensembles import all_bit_strings, build_preparation
-from .operators import _require_int, build_observables, identity, is_density_matrix
+from .operators import _require_int, _require_unit, build_observables, identity, is_density_matrix
 
 # Bounds the dense simulation's work: run_sequence builds and evolves 2^n states of
 # 4^(n//2) complex entries, one after another; 2^n of them would fill this at n <= 11.
@@ -39,20 +39,16 @@ class UnsharpSetting:
 
     def __post_init__(self):
         _require_int(self.n)
-        if not 1 <= self.y <= self.n:
-            raise ValueError(f"setting index y must be in 1..{self.n}, got {self.y}")
-        _require_int(self.y, "y", 1)
+        _require_int(self.y, "setting index y", 1, self.n)
         if self.b not in (0, 1):
             raise ValueError(f"outcome b must be 0 or 1, got {self.b}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"sharpness eta must lie in [0, 1], got {self.eta}")
+        _require_unit(self.eta, "sharpness eta")
 
 
 def theta_to_eta(theta: float) -> float:
     """Convert an angle parameter to sharpness, eta = sin(theta)."""
     eta = math.sin(theta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"sin(theta) = {eta} falls outside [0, 1]")
+    _require_unit(eta, "sin(theta)")
     return eta
 
 
@@ -96,7 +92,7 @@ def povm_element(setting: UnsharpSetting) -> np.ndarray:
 
 
 # The instrument's caches, typed: n = 3.0 or eta = 1 never share an entry with n = 3 or
-# eta = 1.0, so each still meets the checks of build_observables and UnsharpSetting on its own.
+# eta = 1.0, and a miss checks n through build_observables and eta through _require_unit.
 @lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
 def _instrument_parts(n: int) -> tuple[np.ndarray, ...]:
     """The eta-independent, read-only parts of n's instrument, broadcast over settings y and
@@ -115,7 +111,7 @@ def _kraus_stack(n: int, eta) -> np.ndarray:
     """Read-only (2n, d, d) Kraus stack of the (n, eta) instrument in (y, b) order, bit-equal
     to ``kraus_operator``."""
     _, keep, rest, _, _ = _instrument_parts(n)
-    UnsharpSetting(n=n, y=1, b=0, eta=eta)  # ValueError for eta outside [0, 1]
+    _require_unit(eta, "sharpness eta")
     kraus = _unsharp(keep, rest, eta)
     kraus.setflags(write=False)
     return kraus.reshape(2 * n, *keep.shape[-2:])
@@ -125,7 +121,7 @@ def _kraus_stack(n: int, eta) -> np.ndarray:
 def _povm_views(n: int, eta) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Read-only POVM elements [y - 1][b] of the (n, eta) instrument, bit-equal to ``povm_element``."""
     eye, _, _, g, sign = _instrument_parts(n)
-    UnsharpSetting(n=n, y=1, b=0, eta=eta)
+    _require_unit(eta, "sharpness eta")
     povm = _povm(eye, g, sign, eta)
     povm.setflags(write=False)
     # Per-matrix views made once: indexing the stack on every call slowed run_sequence ~5 %.
@@ -138,7 +134,6 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     Input must be a density matrix or a (..., dim, dim) stack of them, each slice
     evolved exactly as alone; the channel is trace preserving and unital.
     """
-    build_observables(n)  # ValueError for a bad n, before the state is checked
     if not is_density_matrix(state, tol=1e-8):
         raise ValueError("evolve_average requires a density matrix input")
     return _evolve(np.asarray(state, dtype=complex), eta, n)
@@ -178,8 +173,7 @@ def quality_factor(n: int, eta: float) -> float:
     f = (1 + (n-1) sqrt(1 - eta^2)) / n, ranging from 1 (eta=0) to 1/n (eta=1).
     """
     _require_int(n)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"sharpness eta must lie in [0, 1], got {eta}")
+    _require_unit(eta, "sharpness eta")
     return (1.0 + (n - 1) * math.sqrt(1.0 - eta * eta)) / n
 
 
@@ -208,8 +202,7 @@ class SequencePlan:
 
 def visibility_chain(n: int, q: float, etas) -> SequencePlan:
     """Propagate visibilities v_1 = q, v_{k+1} = v_k f_k through a sharpness list."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"visibility q must lie in [0, 1], got {q}")
+    _require_unit(q, "visibility q")
     _require_int(n)
     etas = tuple(float(e) for e in etas)
     factors, visibilities, predicted = [], [], []
@@ -239,13 +232,14 @@ class MarginalTable:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
+        _require_int(self.n)
         win = np.asarray(self.win, dtype=float)
         if win.shape != (2**self.n, self.n):
             raise ValueError(f"win must have shape ({2**self.n}, {self.n}), got {win.shape}")
         if not np.all(np.isfinite(win)):
             raise ValueError("win contains non-finite entries; the table is incomplete")
         if win.min() < -1e-12 or win.max() > 1.0 + 1e-12:
-            raise ValueError("winning probabilities must lie in [0, 1]")
+            raise ValueError("winning probabilities must lie within 1e-12 of [0, 1]")
         object.__setattr__(self, "win", win)
         if self.sigma is not None:
             sigma = np.asarray(self.sigma, dtype=float)

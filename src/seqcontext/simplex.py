@@ -138,8 +138,8 @@ def solve_lp(objective, a_eq, b_eq) -> LinearProgramResult:
     c = np.asarray(objective, dtype=float)
     a_orig = np.atleast_2d(np.asarray(a_eq, dtype=float))
     b_orig = np.asarray(b_eq, dtype=float).reshape(-1)
-    if c.ndim != 1:
-        raise ValueError("objective must be a vector")
+    if c.ndim != 1 or not c.size:
+        raise ValueError(f"objective must be a non-empty vector, got shape {c.shape}: a program needs a variable")
     if a_orig.shape != (b_orig.size, c.size):
         raise ValueError(
             f"constraint shapes are inconsistent: A {a_orig.shape}, b {b_orig.shape}, c {c.shape}"

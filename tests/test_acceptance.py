@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. Tolerances are pinned here and nowhere else.
+lines. Tolerances are pinned here, except in criteria 2 and 4: they run
+``verify``'s own checks, at the tolerances that ``selfcheck`` pins.
 """
 
 import math
@@ -41,7 +42,7 @@ def test_criterion_1_maximal_witness():
 
 def test_criterion_2_visibility_recursion_oracle():
     with criterion(2, "evolved average states match the visibility recursion (20 draws per n)", 30.0):
-        result = check_visibility_lemma(seed=2024, draws_per_n=20, tol=1e-9)
+        result = check_visibility_lemma(seed=2024)
         assert result.ok, result.detail
 
 
@@ -58,7 +59,7 @@ def test_criterion_4_squared_visibility_sandwich():
     # the derivation fixes the orientation used here:
     # (n-1)/n^2 < v_k^2 - v_{k+1}^2 < 1/n, strictly, at every critical step.
     with criterion(4, "squared-visibility drop strictly between (n-1)/n^2 and 1/n"):
-        result = check_sandwich(n_max=12, margin=1e-12)
+        result = check_sandwich()
         assert result.ok, result.detail
 
 

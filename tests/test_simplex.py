@@ -55,6 +55,13 @@ def test_shape_validation():
         solve_lp([1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0])
 
 
+@pytest.mark.parametrize("rhs", [0.0, 1.0], ids=["feasible-rhs", "infeasible-rhs"])
+def test_a_program_without_variables_is_refused_up_front(rhs):
+    # Not numpy's empty-argmax error for b = 0, nor an "infeasible" status for b = 1.
+    with pytest.raises(ValueError, match="non-empty vector.*needs a variable"):
+        solve_lp([], np.zeros((1, 0)), [rhs])
+
+
 def test_matches_vertex_enumeration_on_random_bounded_instances():
     rng = np.random.default_rng(123)
     for _ in range(60):
