@@ -18,7 +18,7 @@ from .ensembles import (
     setting_signs,
 )
 from .equivalence_lp import LPResult, enforce_equivalences, parity_residual
-from .operators import ObservableSet, build_observables
+from .operators import build_observables
 from .planner import (
     AnonymousOptimum,
     ChainReport,
@@ -60,7 +60,6 @@ __all__ = [
     "LPResult",
     "LinearProgramResult",
     "MarginalTable",
-    "ObservableSet",
     "SequencePlan",
     "UnsharpSetting",
     "all_bit_strings",

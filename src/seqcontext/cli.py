@@ -172,19 +172,23 @@ def _cmd_lp(args) -> int:
     result = enforce_equivalences(table)
     if result.status != "optimal":
         raise RuntimeError(f"linear program returned status {result.status}")
-    payload = result.to_json_dict()
-    if not args.include_omega:
-        payload.pop("omega")
-    residuals = payload.pop("residuals")
+    results = {
+        "a_pre": result.a_pre,
+        "a_post": result.a_post,
+        "F_raw": result.closeness_raw,
+        "F_normalized": result.closeness_normalized,
+        "status": result.status,
+    }
+    if args.include_omega:
+        results["omega"] = result.omega.omega
     if args.output is not None:
-        rows = result.post_table
         with Path(args.output).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "p0"])
             for ix, x in enumerate(all_bit_strings(table.n)):
                 for y in range(1, table.n + 1):
-                    writer.writerow([x, y, repr(float(rows[ix, y - 1]))])
-    _emit("lp", {"input": source, "n": table.n}, payload, residuals)
+                    writer.writerow([x, y, repr(float(result.post_table[ix, y - 1]))])
+    _emit("lp", {"input": source, "n": table.n}, results, {"max_parity": result.max_parity_residual})
     return 0
 
 

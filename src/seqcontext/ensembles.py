@@ -63,21 +63,21 @@ def build_preparation(n: int, x: str, q: float) -> np.ndarray:
     A_x = n^(-1/2) * sum_y (-1)^(x_y) G_y squares to the identity because the G_y pairwise anticommute.
     """
     _require_unit(q, "visibility q")
-    obs = build_observables(n)
-    if not isinstance(x, str) or len(x) != obs.n or any(c not in "01" for c in x):
-        raise ValueError(f"x must be a bit string of length {obs.n}, got {x!r}")
+    g = build_observables(n)
+    if not isinstance(x, str) or len(x) != len(g) or any(c not in "01" for c in x):
+        raise ValueError(f"x must be a bit string of length {len(g)}, got {x!r}")
     signs = np.array([-1.0 if bit == "1" else 1.0 for bit in x])[:, None, None]
     # One reduce adds the signed observables in setting order from +0, as a running sum would.
-    signed_sum = np.add.reduce(signs * obs.stack, axis=0, initial=0) / np.sqrt(obs.n)
-    return (identity(obs.dim) + q * signed_sum) / obs.dim
+    signed_sum = np.add.reduce(signs * g, axis=0, initial=0) / np.sqrt(len(g))
+    return (identity(g.shape[-1]) + q * signed_sum) / g.shape[-1]
 
 
 @lru_cache(maxsize=1)  # one n at a time: build_ensemble's callers visit each n in turn
 def _signed_sums(n: int) -> np.ndarray:
     """Read-only (2^n, dim, dim) stack of every A_x, in binary order of x."""
-    obs = build_observables(n)
-    acc = np.zeros((2**n, obs.dim, obs.dim), dtype=complex)
-    for sign, g in zip(setting_signs(n), obs.stack):
+    family = build_observables(n)
+    acc = np.zeros((2**n, *family.shape[1:]), dtype=complex)
+    for sign, g in zip(setting_signs(n), family):
         acc += sign[:, None, None] * g
     acc /= np.sqrt(n)
     acc.setflags(write=False)
@@ -91,8 +91,8 @@ def build_ensemble(n: int, q: float) -> np.ndarray:
     ``build_preparation``, so it is bit-equal to that call.
     """
     _require_unit(q, "visibility q")
-    dim = build_observables(n).dim  # ValueError for a bad n, before the cache sees it
-    return (identity(dim) + q * _signed_sums(n)) / dim
+    dim = build_observables(n).shape[-1]  # ValueError for a bad n, before the cache sees it
+    return (identity(dim) + q * _signed_sums(int(n))) / dim
 
 
 @dataclass(frozen=True)

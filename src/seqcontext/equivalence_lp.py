@@ -59,17 +59,6 @@ class LPResult:
     post_table: np.ndarray | None = None  # clipped outcome-0 probabilities p0[x, y] after the remix
     max_parity_residual: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a_pre": self.a_pre,
-            "a_post": self.a_post,
-            "F_raw": self.closeness_raw,
-            "F_normalized": self.closeness_normalized,
-            "status": self.status,
-            "residuals": {"max_parity": self.max_parity_residual},
-            "omega": None if self.omega is None else [[float(v) for v in row] for row in self.omega.omega],
-        }
-
 
 def _build_program(p0: np.ndarray, n: int):
     """Assemble the equality system and witness objective over flattened w[x, x']."""

@@ -8,7 +8,6 @@ assumed, only checked against an explicit tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -51,10 +50,14 @@ def _require_int(value, name: str = "n", low: int = 2, high: int | None = None) 
         raise ValueError(f"{name} must be {span}, got {value}")
 
 
-def _require_unit(value, name: str) -> None:
-    """The package's one [0, 1] check, for every visibility q and sharpness eta; NaN is refused."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+def _require_unit(value, name: str):
+    """The package's one [0, 1] check, for every visibility q and sharpness eta; NaN is refused. Returns value."""
+    try:
+        if 0.0 <= value <= 1.0:
+            return value
+    except (TypeError, ValueError):  # a string or a list does not compare; a many-entry array has no truth value
+        pass
+    raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 # The three predicates take one d x d matrix or a (..., d, d) stack, and hold only when every slice passes.
@@ -101,58 +104,29 @@ def _shift(dim: int, tol: float) -> np.ndarray:
     return _frozen((tol / 2) * np.eye(dim))
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """The n pairwise-anticommuting dichotomic observables for a given number of settings.
-
-    ``observables[k - 1]`` is the observable for setting ``k`` (settings are
-    1-based throughout the package). All matrices are ``dim x dim`` with
-    ``dim = 2 ** (n // 2)``. ``stack`` holds them as one read-only (n, dim, dim)
-    array, and each observable is a view of it.
-    """
-
-    n: int
-    dim: int
-    observables: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        stack = _frozen(self.observables)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "observables", tuple(stack))
-
-    def observable(self, y: int) -> np.ndarray:
-        """Observable for 1-based setting index ``y``."""
-        _require_int(y, "setting index", 1, self.n)
-        return self.observables[y - 1]
-
-    def __iter__(self):
-        return iter(self.observables)
-
-
 @lru_cache(maxsize=None)
-def _observable_family(n: int) -> ObservableSet:
+def _observable_family(n: int) -> np.ndarray:
     # Base cases are the three Pauli matrices; larger families extend by
     # tensoring sigma_x onto the previous family and appending identity
     # blocks with sigma_y (and sigma_z for odd n).
-    if n == 2:
-        return ObservableSet(n=2, dim=2, observables=(SIGMA_X, SIGMA_Y))
-    if n == 3:
-        return ObservableSet(n=3, dim=2, observables=(SIGMA_X, SIGMA_Y, SIGMA_Z))
+    if n <= 3:
+        return _frozen((SIGMA_X, SIGMA_Y, SIGMA_Z)[:n])
     prev = _observable_family(n - 1 if n % 2 == 0 else n - 2)
-    eye = identity(prev.dim)
+    eye = identity(prev.shape[-1])
     family = [np.kron(g, SIGMA_X) for g in prev]
     family.append(np.kron(eye, SIGMA_Y))
     if n % 2:
         family.append(np.kron(eye, SIGMA_Z))
-    return ObservableSet(n=n, dim=2 * prev.dim, observables=tuple(family))
+    return _frozen(family)
 
 
-def build_observables(n: int) -> ObservableSet:
-    """The anticommuting observable family for ``n`` settings.
+def build_observables(n: int) -> np.ndarray:
+    """The n pairwise-anticommuting dichotomic observables as one read-only (n, dim, dim) array.
 
-    Raises ``ValueError`` unless ``n`` is an integer >= 2. Every call for the
-    same ``n`` returns the same cached, immutable set.
+    Entry ``y - 1`` is the observable for setting ``y`` (settings are 1-based
+    throughout the package), and ``dim = 2 ** (n // 2)``. Raises ``ValueError``
+    unless ``n`` is an integer >= 2. Every call for the same ``n`` returns the
+    same cached array.
     """
     _require_int(n)
     return _observable_family(int(n))

@@ -97,7 +97,7 @@ def min_dimension_parameter(m: int, q: float) -> DimensionPlan:
     Refuses m and q whose ceil(m/q^2), a size that always suffices, is above ``MAX_CHAIN_N``.
     """
     _require_int(m, "m", 1)
-    if not 0.0 < q <= 1.0:
+    if not _require_unit(q, "visibility q"):  # q = 0 serves no observer
         raise ValueError(f"visibility q must lie in (0, 1], got {q}")
     # An int compares with a float exactly, so a huge m is refused here before m / q^2 converts it.
     if m > MAX_CHAIN_N * q * q:

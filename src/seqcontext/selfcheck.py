@@ -42,12 +42,11 @@ def check_anticommutation() -> CheckResult:
     worst = 0.0
     for n in range(2, ANTICOMMUTATION_N_MAX + 1):
         family = build_observables(n)
-        eye2 = 2.0 * identity(family.dim)
+        eye2 = 2.0 * identity(family.shape[-1])
         worst_n, worst_pair = 0.0, (1, 1)
-        for j in range(family.n):
-            gj = family.observables[j]
-            for k in range(j, family.n):
-                gk = family.observables[k]
+        for j, gj in enumerate(family):
+            for k in range(j, len(family)):
+                gk = family[k]
                 anti = gj @ gk + gk @ gj
                 if j == k:
                     anti = anti - eye2
@@ -64,7 +63,7 @@ def check_anticommutation() -> CheckResult:
 def check_povm_completeness() -> CheckResult:
     worst = 0.0
     for n in range(2, POVM_N_MAX + 1):
-        eye = np.eye(build_observables(n).dim)
+        eye = np.eye(build_observables(n).shape[-1])
         for eta in (0.0, 0.3, 0.7637, 1.0):
             # The simulator's own (2n, d, d) stack, as (y, b, d, d): one batched K'K per outcome b.
             kraus = _kraus_stack(n, eta).reshape(n, 2, *eye.shape)
@@ -82,7 +81,7 @@ def check_visibility_lemma(seed: int = 20240) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(2, 7):
-        dim = build_observables(n).dim
+        dim = build_observables(n).shape[-1]
         mix = np.eye(dim) / dim
         pure = build_ensemble(n, 1.0)
         for _ in range(VISIBILITY_DRAWS_PER_N):

@@ -72,7 +72,7 @@ def _povm(eye: np.ndarray, g: np.ndarray, sign, eta) -> np.ndarray:
 
 
 def _one_setting(s: UnsharpSetting) -> tuple[np.ndarray, float]:
-    return build_observables(s.n).observable(s.y), -1.0 if s.b else 1.0
+    return build_observables(s.n)[s.y - 1], -1.0 if s.b else 1.0
 
 
 def projector(setting: UnsharpSetting) -> np.ndarray:
@@ -98,7 +98,7 @@ def _instrument_parts(n: int) -> tuple[np.ndarray, ...]:
     """The eta-independent, read-only parts of n's instrument, broadcast over settings y and
     outcomes b: the (d, d) identity, keep and 1 - keep of shape (n, 2, d, d), the (n, 1, d, d)
     observables and the (2, 1, 1) signs. A fresh eta then costs two scalar multiplies and an add."""
-    g = build_observables(n).stack[:, None]
+    g = build_observables(n)[:, None]
     sign = np.array([1.0, -1.0])[:, None, None]
     parts = (*_projectors(g, sign), g, sign)
     for part in parts:
@@ -134,6 +134,8 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     Input must be a density matrix or a (..., dim, dim) stack of them, each slice
     evolved exactly as alone; the channel is trace preserving and unital.
     """
+    _require_int(n)  # both before the caches hash them: a list would raise TypeError there
+    _require_unit(eta, "sharpness eta")
     if not is_density_matrix(state, tol=1e-8):
         raise ValueError("evolve_average requires a density matrix input")
     return _evolve(np.asarray(state, dtype=complex), eta, n)
@@ -204,7 +206,7 @@ def visibility_chain(n: int, q: float, etas) -> SequencePlan:
     """Propagate visibilities v_1 = q, v_{k+1} = v_k f_k through a sharpness list."""
     _require_unit(q, "visibility q")
     _require_int(n)
-    etas = tuple(float(e) for e in etas)
+    etas = tuple(float(_require_unit(e, "sharpness eta")) for e in etas)
     factors, visibilities, predicted = [], [], []
     v = float(q)
     for eta in etas:
@@ -272,7 +274,7 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
             f"n={n} would simulate 2^n states totalling {state_bytes} bytes, above the "
             f"{STATE_BYTES_BUDGET}-byte budget; visibility_chain gives the same witnesses in closed form"
         )
-    etas = tuple(float(e) for e in etas)
+    etas = tuple(float(_require_unit(e, "sharpness eta")) for e in etas)
     # settings[k][y - 1][b]: observer k + 1's measurement of setting y with outcome b
     settings = [[[UnsharpSetting(n=n, y=y, b=b, eta=eta) for b in (0, 1)] for y in range(1, n + 1)] for eta in etas]
 

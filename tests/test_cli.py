@@ -456,7 +456,7 @@ def test_povm_completeness_detail_matches_a_per_operator_reference():
     # One (y, eta) at a time from the public constructor, each K'K its own 2-D product.
     worst = 0.0
     for n in range(2, selfcheck.POVM_N_MAX + 1):
-        eye = np.eye(build_observables(n).dim)
+        eye = np.eye(build_observables(n).shape[-1])
         for y in range(1, n + 1):
             for eta in (0.0, 0.3, 0.7637, 1.0):
                 total = np.zeros_like(eye, dtype=complex)

@@ -1,5 +1,5 @@
-"""Input-domain contract: every subcommand and the table, sampling, simulation, planning and LP
-entry points, fed edge and malformed input.
+"""Input-domain contract: every subcommand and the table, sampling, observable, preparation, channel,
+simulation, planning and LP entry points, fed edge and malformed input.
 
 Each case names its exact outcome: exit 0 or 2 through ``cli.dispatch``, a result or a
 ``ValueError`` from the library. pytest turns warnings into errors, so a warning that escapes
@@ -15,10 +15,21 @@ import numpy as np
 import pytest
 
 from seqcontext.cli import dispatch
+from seqcontext.ensembles import build_ensemble, build_preparation
 from seqcontext.equivalence_lp import PARITY_RESIDUAL_TOL, enforce_equivalences, parity_residual
-from seqcontext.planner import critical_chain
+from seqcontext.operators import build_observables
+from seqcontext.planner import critical_chain, min_dimension_parameter
 from seqcontext.sampling import sample_counts
-from seqcontext.sequence import MarginalTable, read_marginal_csv, run_sequence
+from seqcontext.sequence import (
+    MarginalTable,
+    UnsharpSetting,
+    evolve_average,
+    marginal_probability,
+    quality_factor,
+    read_marginal_csv,
+    run_sequence,
+    visibility_chain,
+)
 
 SEED = 16
 # Far above any case here (an n = 3 lp takes tens of ms), far below a solve that does not terminate.
@@ -156,6 +167,8 @@ def test_each_subcommand_exits_with_its_exact_code(capsys, argv, code):
 
 
 HALVES = MarginalTable(n=2, win=np.full((4, 2), 0.5))
+MIXED = np.eye(2) / 2  # the n = 3 maximally mixed state
+SETTING = UnsharpSetting(n=3, y=1, b=0, eta=0.5)
 # (entry point, arguments, whether the call must raise ValueError)
 LIBRARY_CASES = [
     (MarginalTable, (np.int64(2), np.full((4, 2), 0.5)), False),
@@ -190,6 +203,73 @@ LIBRARY_CASES = [
     (critical_chain, (2, float(ABOVE_ONE)), True),
     (critical_chain, (2, float(BELOW_ZERO)), True),
     (critical_chain, (2, np.nan), True),
+    # Lists, strings and many-entry arrays where n, q or eta is expected raise ValueError, not TypeError.
+    (build_observables, (np.int64(3),), False),
+    (build_observables, (np.uint8(3),), False),
+    (build_observables, ([3],), True),
+    (build_observables, ("3",), True),
+    (build_observables, (np.nan,), True),
+    (build_observables, (np.float64(3.0),), True),
+    (build_observables, (True,), True),
+    (build_observables, (np.bool_(True),), True),
+    (evolve_average, (MIXED, np.float64(0.5), np.int64(3)), False),
+    (evolve_average, (MIXED, True, 3), False),
+    (evolve_average, (MIXED, 0.5, [3]), True),
+    (evolve_average, (MIXED, 0.5, "3"), True),
+    (evolve_average, (MIXED, 0.5, np.float64(3.0)), True),
+    (evolve_average, (MIXED, 0.5, True), True),
+    (evolve_average, (MIXED, [0.5], 3), True),
+    (evolve_average, (MIXED, "0.5", 3), True),
+    (evolve_average, (MIXED, np.nan, 3), True),
+    (evolve_average, (MIXED, np.array([0.5, 0.5]), 3), True),
+    (UnsharpSetting, (np.int64(3), np.int32(2), 1, np.float64(0.5)), False),
+    (UnsharpSetting, (3, 1, 0, True), False),
+    (UnsharpSetting, (3, 1, 0, [0.5]), True),
+    (UnsharpSetting, (3, 1, 0, "0.5"), True),
+    (UnsharpSetting, (3, 1, 0, np.nan), True),
+    (UnsharpSetting, (3, "1", 0, 0.5), True),
+    (UnsharpSetting, (3, True, 0, 0.5), True),
+    (marginal_probability, ([[1, 0], [0, 0]], SETTING), False),
+    (marginal_probability, ([[True, False], [False, False]], SETTING), False),
+    (marginal_probability, ("0.5", SETTING), True),
+    (marginal_probability, ([[np.nan, 0], [0, 0]], SETTING), True),
+    (build_preparation, (np.int64(3), "010", np.float64(0.5)), False),
+    (build_preparation, (3, "010", True), False),
+    (build_preparation, (3, "010", [0.5]), True),
+    (build_preparation, (3, "010", "0.5"), True),
+    (build_preparation, (3, "010", np.nan), True),
+    (build_preparation, ("3", "010", 0.5), True),
+    (build_preparation, (3, ["0", "1", "0"], 0.5), True),
+    (build_ensemble, (np.int64(3), np.float64(0.5)), False),
+    (build_ensemble, (3, True), False),
+    (build_ensemble, (3, "0.5"), True),
+    (build_ensemble, (3, [0.5]), True),
+    (build_ensemble, (3, np.nan), True),
+    (build_ensemble, ([3], 0.5), True),
+    (build_ensemble, (3.0, 0.5), True),
+    (visibility_chain, (np.int64(3), np.float64(0.5), [np.float64(0.5)]), False),
+    (visibility_chain, (3, True, [True]), False),
+    (visibility_chain, (3, [0.5], [0.5]), True),
+    (visibility_chain, (3, "0.5", [0.5]), True),
+    (visibility_chain, (3, 0.5, ["0.5"]), True),
+    (visibility_chain, (3, 0.5, [[0.5]]), True),
+    (visibility_chain, (3, 0.5, [np.nan]), True),
+    (visibility_chain, ("3", 0.5, [0.5]), True),
+    (run_sequence, (2, 1.0, ["0.5"]), True),
+    (run_sequence, (2, 1.0, [[0.5]]), True),
+    (quality_factor, (np.int64(3), np.float64(0.5)), False),
+    (quality_factor, (3, True), False),
+    (quality_factor, (3, "0.5"), True),
+    (quality_factor, (3, [0.5]), True),
+    (quality_factor, (3, np.nan), True),
+    (quality_factor, (3.0, 0.5), True),
+    (quality_factor, (np.bool_(True), 0.5), True),
+    (min_dimension_parameter, (np.int64(2), np.float64(1.0)), False),
+    (min_dimension_parameter, (2, True), False),
+    (min_dimension_parameter, (2, "1"), True),
+    (min_dimension_parameter, (2, [1.0]), True),
+    (min_dimension_parameter, (2, np.nan), True),
+    (min_dimension_parameter, (2, 0.0), True),
 ]
 
 

@@ -85,11 +85,22 @@ def test_build_ensemble_is_bit_equal_to_build_preparation_with_its_cache_cold_an
 
 def _running_sum_preparation(n, x, q):
     # build_preparation as it read before the one-reduce signed sum, for the bit-identity test below
-    obs = build_observables(n)
-    acc = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for bit, g in zip(x, obs.observables):
+    family = build_observables(n)
+    dim = family.shape[-1]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for bit, g in zip(x, family):
         acc += (-1.0 if bit == "1" else 1.0) * g
-    return (identity(obs.dim) + q * (acc / np.sqrt(n))) / obs.dim
+    return (identity(dim) + q * (acc / np.sqrt(n))) / dim
+
+
+@pytest.mark.parametrize("kind", [np.uint8, np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("n", [3, 9])
+def test_a_numpy_integer_n_gives_the_bits_of_a_python_int(kind, n):
+    # np.sqrt of a uint8 is a float16, and 2**n wraps in uint8 from n = 8: the ensemble takes a Python int's root
+    expected = build_ensemble(n, 0.6441)
+    assert build_ensemble(kind(n), 0.6441).tobytes() == expected.tobytes()
+    prepared = [build_preparation(kind(n), x, 0.6441) for x in all_bit_strings(n)]
+    assert np.array(prepared).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 12))
@@ -135,7 +146,7 @@ def test_ensemble_bloch_radius_scales_with_visibility():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_signed_sum_squares_to_identity(n):
-    dim = build_observables(n).dim
+    dim = build_observables(n).shape[-1]
     for x in all_bit_strings(n):
         a = dim * build_preparation(n, x, 1.0) - identity(dim)  # A_x, from rho_x = (1 + A_x) / dim
         np.testing.assert_allclose(a @ a, identity(dim), atol=1e-12)
@@ -191,9 +202,9 @@ def partial_trace_construction(n, x):
     (1 + A_x) to the traced block and contracts it. The result equals the
     transpose of ``build_preparation(n, x, 1)``.
     """
-    obs = build_observables(n)
+    family = build_observables(n)
     pairs = n // 2
-    dim = obs.dim
+    dim = family.shape[-1]
 
     pair_vec = np.zeros(4, dtype=complex)
     pair_vec[0] = pair_vec[3] = 1.0 / np.sqrt(2.0)
@@ -207,7 +218,7 @@ def partial_trace_construction(n, x):
     perm = [2 * j for j in range(pairs)] + [2 * j + 1 for j in range(pairs)]
     state = _permute_qubits(state, perm)
 
-    signed_sum = sum((-1.0 if bit == "1" else 1.0) * g for bit, g in zip(x, obs.observables)) / np.sqrt(n)
+    signed_sum = sum((-1.0 if bit == "1" else 1.0) * g for bit, g in zip(x, family)) / np.sqrt(n)
     op = np.kron(identity(dim) + signed_sum, identity(dim))
     full = op @ state
     return np.einsum("aiaj->ij", full.reshape(dim, dim, dim, dim))
@@ -272,7 +283,7 @@ def test_operational_equivalence_matches_the_per_state_loop(n):
         cases.append(evolved)
         tampered = evolved.copy()
         x = rng.integers(2**n)
-        tampered[x] = tampered[x] + rng.uniform(-1e-3, 1e-3) * build_observables(n).observables[rng.integers(n)]
+        tampered[x] = tampered[x] + rng.uniform(-1e-3, 1e-3) * build_observables(n)[rng.integers(n)]
         cases.append(tampered)
     reports = [check_operational_equivalence(states) for states in cases]
     for states, report in zip(cases, reports):

@@ -79,8 +79,6 @@ def test_closeness_extremes(monkeypatch):
         assert result.omega.omega.tobytes() == omega.tobytes()
         assert result.closeness_raw == pytest.approx(f_raw, abs=1e-15)
         assert result.closeness_normalized == pytest.approx(f_raw / 8.0, abs=1e-15)
-        payload = result.to_json_dict()
-        assert (payload["F_raw"], payload["F_normalized"]) == (result.closeness_raw, result.closeness_normalized)
 
 
 def test_weight_matrix_validation(monkeypatch, capsys):
@@ -202,12 +200,25 @@ def test_tie_break_failure_keeps_primary_solution(monkeypatch):
     np.testing.assert_array_equal(result.omega.omega, results[0].x.reshape(8, 8))
 
 
-def test_json_dict_shape():
+def test_json_dict_shape(capsys):
+    # the lp report's results keys in order, omega only under --include-omega, each value the result's own
     result = enforce_equivalences(read_marginal_csv(fixture_path("observer2")))
-    payload = result.to_json_dict()
-    assert set(payload) == {"a_pre", "a_post", "F_raw", "F_normalized", "status", "residuals", "omega"}
-    assert payload["status"] == "optimal"
-    assert len(payload["omega"]) == 8
+    expected = {
+        "a_pre": result.a_pre,
+        "a_post": result.a_post,
+        "F_raw": result.closeness_raw,
+        "F_normalized": result.closeness_normalized,
+        "status": "optimal",
+    }
+    for extra in ([], ["--include-omega"]):
+        assert dispatch(["lp", "--fixture", "observer2", *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        results = report["results"]
+        assert list(results) == list(expected) + (["omega"] if extra else [])
+        for key, value in expected.items():
+            assert results[key] == (value if key == "status" else float(f"{value:.6g}"))
+        assert report["residuals"] == {"max_parity": float(f"{result.max_parity_residual:.6g}")}
+    assert results["omega"] == [[float(f"{v:.6g}") for v in row] for row in result.omega.omega.tolist()]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -23,29 +23,26 @@ def test_pauli_conventions():
 
 def test_base_families():
     two = build_observables(2)
-    np.testing.assert_array_equal(two.observables[0], SIGMA_X)
-    np.testing.assert_array_equal(two.observables[1], SIGMA_Y)
-    assert two.dim == 2
+    np.testing.assert_array_equal(two, [SIGMA_X, SIGMA_Y])
 
     three = build_observables(3)
-    np.testing.assert_array_equal(three.observables[2], SIGMA_Z)
-    assert three.dim == 2
+    np.testing.assert_array_equal(three, [SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def test_family_n4_expansion():
     # hand expansion of the recursion for n=4
     four = build_observables(4)
-    assert four.dim == 4
-    np.testing.assert_array_equal(four.observables[0], np.kron(SIGMA_X, SIGMA_X))
-    np.testing.assert_array_equal(four.observables[1], np.kron(SIGMA_Y, SIGMA_X))
-    np.testing.assert_array_equal(four.observables[2], np.kron(SIGMA_Z, SIGMA_X))
-    np.testing.assert_array_equal(four.observables[3], np.kron(np.eye(2), SIGMA_Y))
+    assert four.shape == (4, 4, 4)
+    np.testing.assert_array_equal(four[0], np.kron(SIGMA_X, SIGMA_X))
+    np.testing.assert_array_equal(four[1], np.kron(SIGMA_Y, SIGMA_X))
+    np.testing.assert_array_equal(four[2], np.kron(SIGMA_Z, SIGMA_X))
+    np.testing.assert_array_equal(four[3], np.kron(np.eye(2), SIGMA_Y))
 
 
 def test_tensor_product_block_structure():
     # the family's Kronecker products put the left factor on the blocks:
     # sigma_z x sigma_x = diag(sigma_x, -sigma_x)
-    result = build_observables(4).observables[2]
+    result = build_observables(4)[2]
     np.testing.assert_array_equal(result[:2, :2], SIGMA_X)
     np.testing.assert_array_equal(result[2:, 2:], -SIGMA_X)
     np.testing.assert_array_equal(result[:2, 2:], np.zeros((2, 2)))
@@ -54,22 +51,21 @@ def test_tensor_product_block_structure():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_family_algebra(n):
     family = build_observables(n)
-    assert family.dim == 2 ** (n // 2)
-    assert len(family.observables) == n
+    dim = 2 ** (n // 2)
+    assert family.shape == (n, dim, dim)
     for g in family:
         assert is_hermitian(g)
         assert abs(np.trace(g)) <= 1e-12
-        np.testing.assert_allclose(g @ g, identity(family.dim), atol=1e-12)
-    g = family.stack
-    anti = g[:, None] @ g[None] + g[None] @ g[:, None]
-    expected = 2.0 * np.eye(n)[:, :, None, None] * identity(family.dim)
+        np.testing.assert_allclose(g @ g, identity(dim), atol=1e-12)
+    anti = family[:, None] @ family[None] + family[None] @ family[:, None]
+    expected = 2.0 * np.eye(n)[:, :, None, None] * identity(dim)
     np.testing.assert_allclose(anti, expected, atol=1e-12)
 
 
 def test_verify_anticommutation_detects_failure(monkeypatch):
     # verify's anticommutation check on a family whose two observables commute
-    good = build_observables(2)
-    broken = type(good)(n=2, dim=2, observables=(SIGMA_X, SIGMA_X))
+    broken = np.stack([SIGMA_X, SIGMA_X])
+    broken.setflags(write=False)
     monkeypatch.setattr(selfcheck, "build_observables", lambda n: broken if n == 3 else build_observables(n))
     result = selfcheck.check_anticommutation()
     assert not result.ok
@@ -79,24 +75,16 @@ def test_verify_anticommutation_detects_failure(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_observable_set_holds_one_read_only_stack(n):
+    # build_observables returns the family as one cached, read-only (n, dim, dim) array
     family = build_observables(n)
-    assert family.stack.shape == (n, family.dim, family.dim) and not family.stack.flags.writeable
-    for y, g in enumerate(family.observables):
-        assert g.base is family.stack and not g.flags.writeable
-        assert g.tobytes() == family.stack[y].tobytes()
+    dim = 2 ** (n // 2)
+    assert type(family) is np.ndarray and family.shape == (n, dim, dim) and family.dtype == complex
+    assert not family.flags.writeable
     with pytest.raises(ValueError):
-        family.observable(1)[0, 0] = 0.0
-    # a set built by hand stacks its own copy
-    own = type(family)(n=2, dim=2, observables=(SIGMA_X, SIGMA_Z))
-    assert own.stack.tobytes() == np.stack([SIGMA_X, SIGMA_Z]).tobytes() and own.observables[1].base is own.stack
-
-def test_observable_accessor_bounds():
-    family = build_observables(3)
-    np.testing.assert_array_equal(family.observable(1), SIGMA_X)
+        family[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
-        family.observable(0)
-    with pytest.raises(ValueError):
-        family.observable(4)
+        family[n - 1][0, 0] = 0.0  # a setting's observable is a read-only view
+    assert build_observables(n) is family and build_observables(np.int64(n)) is family
 
 
 @pytest.mark.parametrize("bad", [1, 0, -3, 3.0, True, 2.5])
