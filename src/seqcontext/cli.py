@@ -1,12 +1,13 @@
 """Command-line front end: simulation, planning, LP post-processing, sampling, verification.
 
-Every subcommand prints one JSON report to stdout with the shape
-{command, config, results, residuals, version}. Floats are rounded to six
-significant digits before serialization so repeated runs are byte-identical.
-Exit codes: 0 success; 2 invalid configuration or input data, including a
-malformed or incomplete table CSV and a path that cannot be opened; 3
-numerical or solver failure. ``dispatch`` is the one place that maps
-exceptions to these codes.
+Every subcommand returns its (config, results, residuals) and prints nothing.
+``dispatch`` is the one place that prints a report and picks its exit code: it
+prints one JSON report to stdout with the shape {command, config, results,
+residuals, version}, its floats rounded to six significant digits so repeated
+runs are byte-identical. Exit codes: 0 success; 2 invalid configuration or
+input data, including a malformed or incomplete table CSV and a path that
+cannot be opened; 3 numerical or solver failure, and a ``verify`` report whose
+checks do not all pass (its full report is printed first).
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ def _sig6(value):
         return value
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        if not math.isfinite(v):
-            return None
-        return float(f"{v:.6g}")
+        return float(f"{v:.6g}") if math.isfinite(v) else None
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, dict):
@@ -74,37 +73,20 @@ def _sig6(value):
     return value
 
 
-def _emit(command: str, config: dict, results: dict, residuals: dict) -> None:
-    report = {
-        "command": command,
-        "config": _sig6(config),
-        "results": _sig6(results),
-        "residuals": _sig6(residuals),
-        "version": __version__,
-    }
-    print(json.dumps(report, indent=2))
-
-
 def _load_table(args):
     if getattr(args, "fixture", None):
         return read_marginal_csv(fixture_path(args.fixture)), f"fixture:{args.fixture}"
-    path = Path(args.input)
-    if not path.exists():
-        raise ValueError(f"input file {path} does not exist")
+    path = Path(args.input)  # the report names it as Path spells it: "./t.csv" reads "t.csv"
     return read_marginal_csv(path), str(path)
 
 
-def _cmd_witness(args) -> int:
-    if args.thetas is not None:
-        etas = [theta_to_eta(t) for t in args.thetas]
-    else:
-        etas = list(args.etas)
+def _cmd_witness(args) -> tuple[dict, dict, dict]:
+    etas = list(args.etas) if args.thetas is None else [theta_to_eta(t) for t in args.thetas]
     plan = visibility_chain(args.n, args.q, etas)
     tables = run_sequence(args.n, args.q, etas)
     simulated = [witness(t) for t in tables]
     deviation = max((abs(a - b) for a, b in zip(simulated, plan.witnesses)), default=0.0)
-    _emit(
-        "witness",
+    return (
         {"n": args.n, "q": args.q, "etas": etas},
         {
             "witnesses": simulated,
@@ -116,13 +98,11 @@ def _cmd_witness(args) -> int:
         },
         {"max_closed_form_deviation": deviation},
     )
-    return 0
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args) -> tuple[dict, dict, dict]:
     report = critical_chain(args.n, args.q)
-    _emit(
-        "chain",
+    return (
         {"n": args.n, "q": args.q},
         {
             "critical_etas": list(report.critical_etas),
@@ -133,13 +113,11 @@ def _cmd_chain(args) -> int:
         },
         {},
     )
-    return 0
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args) -> tuple[dict, dict, dict]:
     plan = min_dimension_parameter(args.m, args.q)
-    _emit(
-        "plan",
+    return (
         {"m": args.m, "q": args.q},
         {
             "n": plan.n,
@@ -149,25 +127,20 @@ def _cmd_plan(args) -> int:
         },
         {},
     )
-    return 0
 
 
-def _cmd_anonymous(args) -> int:
+def _cmd_anonymous(args) -> tuple[dict, dict, dict]:
     if (args.theta is None) == (not args.optimize):
         raise ValueError("provide exactly one of --theta or --optimize")
     if args.optimize:
         opt = anonymous_optimum(args.n)
         results = {"theta_star": opt.theta_star, "k_star": opt.k_star, "floor_k_star": math.floor(opt.k_star)}
-        config = {"n": args.n, "optimize": True}
-    else:
-        k = anonymous_chain_length(args.n, args.theta)
-        results = {"theta": args.theta, "k": k, "floor_k": math.floor(k)}
-        config = {"n": args.n, "theta": args.theta}
-    _emit("anonymous", config, results, {})
-    return 0
+        return {"n": args.n, "optimize": True}, results, {}
+    k = anonymous_chain_length(args.n, args.theta)
+    return {"n": args.n, "theta": args.theta}, {"theta": args.theta, "k": k, "floor_k": math.floor(k)}, {}
 
 
-def _cmd_lp(args) -> int:
+def _cmd_lp(args) -> tuple[dict, dict, dict]:
     table, source = _load_table(args)
     result = enforce_equivalences(table)
     if result.status != "optimal":
@@ -188,26 +161,19 @@ def _cmd_lp(args) -> int:
             for ix, x in enumerate(all_bit_strings(table.n)):
                 for y in range(1, table.n + 1):
                     writer.writerow([x, y, repr(float(result.post_table[ix, y - 1]))])
-    _emit("lp", {"input": source, "n": table.n}, results, {"max_parity": result.max_parity_residual})
-    return 0
+    return {"input": source, "n": table.n}, results, {"max_parity": result.max_parity_residual}
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple[dict, dict, dict]:
     table, source = _load_table(args)
     sampled = sample_counts(table, args.trials, args.seed)
     if args.output is not None:
         write_marginal_csv(sampled, args.output)
-    _emit(
-        "sample",
+    return (
         {"input": source, "trials": args.trials, "seed": args.seed},
-        {
-            "witness_input": witness(table),
-            "witness_sampled": witness(sampled),
-            "output": args.output,
-        },
+        {"witness_input": witness(table), "witness_sampled": witness(sampled), "output": args.output},
         {"max_shift": float(np.max(np.abs(sampled.win - table.win)))},
     )
-    return 0
 
 
 def _sweep_rows(args) -> tuple[list[str], list[list]]:
@@ -235,32 +201,21 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
     raise ValueError(f"unknown sweep mode {args.mode!r}")
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[dict, dict, dict]:
     header, rows = _sweep_rows(args)
     if args.out is not None:
         with Path(args.out).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(_sig6(row) for row in rows)
-    _emit(
-        "sweep",
-        {"mode": args.mode, "range": list(args.range), "n": args.n, "q": args.q, "out": args.out},
-        {"header": header, "rows": rows},
-        {},
-    )
-    return 0
+    config = {"mode": args.mode, "range": list(args.range), "n": args.n, "q": args.q, "out": args.out}
+    return config, {"header": header, "rows": rows}, {}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, dict, dict]:
     checks = run_all()
-    all_ok = all(c.ok for c in checks)
-    _emit(
-        "verify",
-        {},
-        {"checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks], "all_ok": all_ok},
-        {},
-    )
-    return 0 if all_ok else 3
+    rows = [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks]
+    return {}, {"checks": rows, "all_ok": all(c.ok for c in checks)}, {}
 
 
 @cache  # built on the first call, then reused: parse_args leaves the parser as it found it
@@ -328,8 +283,8 @@ def dispatch(argv) -> int:
     command = "unknown"
     try:
         args = parser.parse_args(argv)
-        command = args.command or command
-        return args.func(args)
+        command = args.command
+        config, results, residuals = args.func(args)
     except Exception as exc:
         # ValueError means bad input and OSError a path that cannot be opened. LinAlgError
         # subclasses ValueError but is a numerical failure, like every other exception.
@@ -337,6 +292,9 @@ def dispatch(argv) -> int:
         code = 2 if bad_input else 3
         print(json.dumps({"command": command, "error": {"code": code, "message": str(exc)}, "version": __version__}))
         return code
+    report = {"command": command, "config": config, "results": results, "residuals": residuals, "version": __version__}
+    print(json.dumps(_sig6(report), indent=2))
+    return 3 if results.get("all_ok") is False else 0  # only verify's report carries all_ok
 
 
 def main(argv=None) -> int:

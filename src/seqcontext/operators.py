@@ -51,11 +51,11 @@ def _require_int(value, name: str = "n", low: int = 2, high: int | None = None) 
 
 
 def _require_unit(value, name: str):
-    """The package's one [0, 1] check, for every visibility q and sharpness eta; NaN is refused. Returns value."""
+    """The package's one [0, 1] check of every q and eta, refusing NaN and any numpy array. Returns value."""
     try:
-        if 0.0 <= value <= 1.0:
+        if not isinstance(value, np.ndarray) and 0.0 <= value <= 1.0:
             return value
-    except (TypeError, ValueError):  # a string or a list does not compare; a many-entry array has no truth value
+    except TypeError:  # a string or a list does not compare
         pass
     raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .operators import _require_int, _require_unit
 from .sequence import quality_factor
 
@@ -133,8 +135,12 @@ def anonymous_chain_length(n: int, theta: float) -> float:
     The integer number of saturating observers is floor of the result.
     """
     _require_int(n, "n", 2, MAX_FLOAT_N)
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
+    try:  # anonymous_optimum calls this some 550 times: a float skips the slower isinstance test
+        valid = 0.0 < theta < math.pi / 2 and (type(theta) is float or not isinstance(theta, np.ndarray))
+    except TypeError:  # a string or a list does not compare
+        valid = False
+    if not valid:
+        raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
     s = math.sin(theta)
     critical = 1.0 / math.sqrt(n)
     if s < critical - 1e-12:

@@ -128,6 +128,13 @@ def _povm_views(n: int, eta) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(map(tuple, povm))
 
 
+def _require_dim(shape: tuple, n: int) -> None:
+    """ValueError unless shape is n's (2^(n // 2), 2^(n // 2)): O(1), run before n's instrument is built.
+    The shift stops at 2^63, which no numpy axis reaches, so a huge n costs nothing."""
+    if shape != (d := 1 << min(n // 2, 63), d):
+        raise ValueError(f"n={n} acts on 2^{n // 2} x 2^{n // 2} states, got a state of shape {shape}")
+
+
 def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     """Average post-measurement state over a uniform setting choice and both outcomes.
 
@@ -136,9 +143,11 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     """
     _require_int(n)  # both before the caches hash them: a list would raise TypeError there
     _require_unit(eta, "sharpness eta")
+    state = np.asarray(state, dtype=complex)
+    _require_dim(state.shape[-2:], n)  # a stack passes when each of its states meets n
     if not is_density_matrix(state, tol=1e-8):
         raise ValueError("evolve_average requires a density matrix input")
-    return _evolve(np.asarray(state, dtype=complex), eta, n)
+    return _evolve(state, eta, n)
 
 
 def _evolve(state: np.ndarray, eta: float, n: int) -> np.ndarray:
@@ -162,8 +171,10 @@ def _evolve(state: np.ndarray, eta: float, n: int) -> np.ndarray:
 
 def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     """p(b | state, y) = Tr(state * E_y^b) for the unsharp POVM element."""
+    state = np.asarray(state, dtype=complex)
+    _require_dim(state.shape, setting.n)  # one state: a stack's trace would mix its slices
     element = _povm_views(setting.n, setting.eta)[setting.y - 1][int(setting.b)]
-    p = float((np.asarray(state, dtype=complex) @ element).trace().real)
+    p = float((state @ element).trace().real)
     if not -1e-10 <= p <= 1.0 + 1e-10:  # also refuses NaN and infinities
         raise ValueError(f"marginal probability {p} outside [0, 1]; input is not a valid state")
     return min(max(p, 0.0), 1.0)

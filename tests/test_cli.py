@@ -1,7 +1,11 @@
 import contextlib
+import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import types
 from pathlib import Path
@@ -441,6 +445,31 @@ def test_verify_command(capsys):
     assert report["results"]["all_ok"] is True
     names = {check["name"] for check in report["results"]["checks"]}
     assert {"anticommutation", "visibility_lemma", "visibility_sandwich", "lp_vertex_oracle"} <= names
+
+
+def test_a_failing_verify_check_prints_the_full_report_and_exits_3(capsys, monkeypatch):
+    checks = selfcheck.run_all()
+    checks[1] = dataclasses.replace(checks[1], ok=False)
+    monkeypatch.setattr(cli, "run_all", lambda: checks)
+    code, report = run_json(capsys, "verify")
+    assert code == 3
+    assert set(report) == {"command", "config", "results", "residuals", "version"}
+    assert report["command"] == "verify" and report["results"]["all_ok"] is False
+    assert [check["ok"] for check in report["results"]["checks"]] == [i != 1 for i in range(len(checks))]
+
+
+def test_the_module_run_as_a_process_prints_the_in_process_report(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run_process(*argv):
+        return subprocess.run([sys.executable, "-m", "seqcontext.cli", *argv], env=env, capture_output=True, check=False)
+
+    done = run_process("chain", "--n", "3", "--q", "1")
+    assert done.returncode == 0
+    assert done.stdout == run_cli(capsys, "chain", "--n", "3", "--q", "1")[1].encode()
+    refused = run_process("chain", "--n", "1")
+    assert_error_only(refused.returncode, json.loads(refused.stdout), 2)
+    assert refused.stdout.count(b"\n") == 1  # one JSON line and nothing else
 
 
 def test_verify_prints_the_same_bytes_with_its_caches_cold_and_warm(capsys):

@@ -18,7 +18,7 @@ from seqcontext.cli import dispatch
 from seqcontext.ensembles import build_ensemble, build_preparation
 from seqcontext.equivalence_lp import PARITY_RESIDUAL_TOL, enforce_equivalences, parity_residual
 from seqcontext.operators import build_observables
-from seqcontext.planner import critical_chain, min_dimension_parameter
+from seqcontext.planner import anonymous_chain_length, critical_chain, min_dimension_parameter
 from seqcontext.sampling import sample_counts
 from seqcontext.sequence import (
     MarginalTable,
@@ -222,6 +222,9 @@ LIBRARY_CASES = [
     (evolve_average, (MIXED, "0.5", 3), True),
     (evolve_average, (MIXED, np.nan, 3), True),
     (evolve_average, (MIXED, np.array([0.5, 0.5]), 3), True),
+    # Every numpy array where q, eta or theta is expected raises ValueError, 0-d and one-entry arrays included.
+    (evolve_average, (MIXED, np.array(0.5), 3), True),
+    (evolve_average, (np.eye(4) / 4, 0.5, 3), True),  # a 4 x 4 state where n = 3 acts on 2 x 2
     (UnsharpSetting, (np.int64(3), np.int32(2), 1, np.float64(0.5)), False),
     (UnsharpSetting, (3, 1, 0, True), False),
     (UnsharpSetting, (3, 1, 0, [0.5]), True),
@@ -229,10 +232,15 @@ LIBRARY_CASES = [
     (UnsharpSetting, (3, 1, 0, np.nan), True),
     (UnsharpSetting, (3, "1", 0, 0.5), True),
     (UnsharpSetting, (3, True, 0, 0.5), True),
+    (UnsharpSetting, (3, 1, 0, np.array(0.5)), True),
+    # the setting of marginal_probability(MIXED, UnsharpSetting(3, 1, 0, np.array([0.5]))) is refused as it is made
+    (UnsharpSetting, (3, 1, 0, np.array([0.5])), True),
     (marginal_probability, ([[1, 0], [0, 0]], SETTING), False),
     (marginal_probability, ([[True, False], [False, False]], SETTING), False),
     (marginal_probability, ("0.5", SETTING), True),
     (marginal_probability, ([[np.nan, 0], [0, 0]], SETTING), True),
+    (marginal_probability, (np.eye(4) / 4, SETTING), True),
+    (marginal_probability, ([[[1, 0], [0, 0]]], SETTING), True),  # a stack of one state
     (build_preparation, (np.int64(3), "010", np.float64(0.5)), False),
     (build_preparation, (3, "010", True), False),
     (build_preparation, (3, "010", [0.5]), True),
@@ -255,8 +263,15 @@ LIBRARY_CASES = [
     (visibility_chain, (3, 0.5, [[0.5]]), True),
     (visibility_chain, (3, 0.5, [np.nan]), True),
     (visibility_chain, ("3", 0.5, [0.5]), True),
+    (visibility_chain, (3, np.array(0.5), [0.5]), True),
     (run_sequence, (2, 1.0, ["0.5"]), True),
     (run_sequence, (2, 1.0, [[0.5]]), True),
+    (run_sequence, (2, 1.0, [np.array(0.5)]), True),
+    (anonymous_chain_length, (np.int64(3), np.float64(1.0)), False),
+    # theta = 1.0 clears n = 3's threshold sin(theta) >= 1/sqrt(3): only its type is refused
+    (anonymous_chain_length, (3, "1.0"), True),
+    (anonymous_chain_length, (3, [1.0]), True),
+    (anonymous_chain_length, (3, np.array(1.0)), True),
     (quality_factor, (np.int64(3), np.float64(0.5)), False),
     (quality_factor, (3, True), False),
     (quality_factor, (3, "0.5"), True),
@@ -273,11 +288,16 @@ LIBRARY_CASES = [
 ]
 
 
+def _omitted_from_id(arg) -> bool:
+    return isinstance(arg, MarginalTable) or isinstance(arg, np.ndarray) and arg.size != 1
+
+
 @pytest.mark.parametrize(
     "call, args, raises",
     LIBRARY_CASES,
     ids=[
-        f"{call.__name__}({', '.join(repr(a) for a in args if not isinstance(a, (np.ndarray, MarginalTable)))})"
+        # A one-entry array stands where a scalar is expected, so the id shows it; states and tables it omits.
+        f"{call.__name__}({', '.join(repr(a) for a in args if not _omitted_from_id(a))})"
         for call, args, _ in LIBRARY_CASES
     ],
 )

@@ -228,6 +228,21 @@ def test_evolve_average_rejects_invalid_n(n):
         evolve_average(identity(2) / 2, 0.5, n)
 
 
+def test_a_state_of_the_wrong_dimension_is_refused_before_n_instrument_is_built(monkeypatch):
+    # n = 14's family takes tens of ms to build; a 2 x 2 state can never meet its 2^7 x 2^7 operators.
+    def unreachable(n):
+        raise AssertionError(f"the n={n} observable family was built")
+
+    for cache in (sequence._instrument_parts, sequence._kraus_stack, sequence._povm_views):
+        cache.cache_clear()
+    monkeypatch.setattr(sequence, "build_observables", unreachable)
+    both_dimensions = r"n=14 acts on 2\^7 x 2\^7 states, got a state of shape \(2, 2\)"
+    with pytest.raises(ValueError, match=both_dimensions):
+        evolve_average(identity(2) / 2, 0.5, 14)
+    with pytest.raises(ValueError, match=both_dimensions):
+        marginal_probability(identity(2) / 2, UnsharpSetting(n=14, y=1, b=0, eta=0.5))
+
+
 def test_marginal_probability_values():
     rho = build_preparation(3, "000", 1.0)
     sharp = marginal_probability(rho, UnsharpSetting(n=3, y=1, b=0, eta=1.0))
