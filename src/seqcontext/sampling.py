@@ -17,6 +17,7 @@ def sample_counts(table: MarginalTable, trials_per_setting: int, seed: int) -> M
     """
     # The binomial draw takes a whole 64-bit count: it would truncate 2.5 to 2 trials and run True as 1.
     _require_int(trials_per_setting, "trials_per_setting", 1, np.iinfo(np.int64).max)
+    _require_int(seed, "seed", 0)  # None would draw OS entropy, and numpy raises TypeError for 1.5
     rng = np.random.default_rng(seed)
     counts = rng.binomial(trials_per_setting, table.win)
     win = counts / float(trials_per_setting)

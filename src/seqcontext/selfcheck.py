@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import build_ensemble, check_operational_equivalence
 from .operators import DEFAULT_TOL, build_observables, identity
 from .planner import critical_chain
-from .sequence import _evolve, _kraus_stack, visibility_chain
+from .sequence import _evolve, _instrument, visibility_chain
 from .simplex import solve_lp
 
 ANTICOMMUTATION_N_MAX = 10
@@ -66,7 +66,7 @@ def check_povm_completeness() -> CheckResult:
         eye = np.eye(build_observables(n).shape[-1])
         for eta in (0.0, 0.3, 0.7637, 1.0):
             # The simulator's own (2n, d, d) stack, as (y, b, d, d): one batched K'K per outcome b.
-            kraus = _kraus_stack(n, eta).reshape(n, 2, *eye.shape)
+            kraus = _instrument(n, eta)[0].reshape(n, 2, *eye.shape)
             total = np.zeros(kraus.shape[:1] + eye.shape, dtype=complex)
             for b in (0, 1):
                 k = kraus[:, b]

@@ -23,8 +23,8 @@ from .operators import _require_int, _require_unit, build_observables, identity,
 # Bounds the dense simulation's work: run_sequence builds and evolves 2^n states of
 # 4^(n//2) complex entries, one after another; 2^n of them would fill this at n <= 11.
 STATE_BYTES_BUDGET = 2**26
-# Entries kept by each instrument cache: per n, per (n, eta) Kraus stack, per (n, eta) POVM
-# views. A chain's observers each use one (n, eta).
+# Entries kept by each of the two instrument caches: n's parts, and the (n, eta) Kraus stack
+# with its POVM views. A chain's observers each use one (n, eta).
 INSTRUMENT_CACHE_SIZE = 8
 
 
@@ -46,10 +46,13 @@ class UnsharpSetting:
 
 
 def theta_to_eta(theta: float) -> float:
-    """Convert an angle parameter to sharpness, eta = sin(theta)."""
-    eta = math.sin(theta)
-    _require_unit(eta, "sin(theta)")
-    return eta
+    """Convert an angle parameter to sharpness, eta = sin(theta); theta must be a finite real number."""
+    try:
+        if not isinstance(theta, np.ndarray) and math.isfinite(theta):
+            return _require_unit(math.sin(theta), "sin(theta)")
+    except TypeError:  # a string, a list, None or a complex number
+        pass
+    raise ValueError(f"theta must be a finite real number, got {theta!r}")
 
 
 def _projectors(g: np.ndarray, sign) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,7 +94,7 @@ def povm_element(setting: UnsharpSetting) -> np.ndarray:
     return _povm(identity(g.shape[-1]), g, sign, setting.eta)
 
 
-# The instrument's caches, typed: n = 3.0 or eta = 1 never share an entry with n = 3 or
+# The instrument's two caches, typed: n = 3.0 or eta = 1 never share an entry with n = 3 or
 # eta = 1.0, and a miss checks n through build_observables and eta through _require_unit.
 @lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
 def _instrument_parts(n: int) -> tuple[np.ndarray, ...]:
@@ -107,25 +110,16 @@ def _instrument_parts(n: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
-def _kraus_stack(n: int, eta) -> np.ndarray:
-    """Read-only (2n, d, d) Kraus stack of the (n, eta) instrument in (y, b) order, bit-equal
-    to ``kraus_operator``."""
-    _, keep, rest, _, _ = _instrument_parts(n)
+def _instrument(n: int, eta) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The (n, eta) instrument, bit-equal to ``kraus_operator`` and ``povm_element``: its read-only
+    (2n, d, d) Kraus stack in (y, b) order and its read-only POVM elements [y - 1][b]."""
+    eye, keep, rest, g, sign = _instrument_parts(n)
     _require_unit(eta, "sharpness eta")
-    kraus = _unsharp(keep, rest, eta)
+    kraus, povm = _unsharp(keep, rest, eta), _povm(eye, g, sign, eta)
     kraus.setflags(write=False)
-    return kraus.reshape(2 * n, *keep.shape[-2:])
-
-
-@lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
-def _povm_views(n: int, eta) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Read-only POVM elements [y - 1][b] of the (n, eta) instrument, bit-equal to ``povm_element``."""
-    eye, _, _, g, sign = _instrument_parts(n)
-    _require_unit(eta, "sharpness eta")
-    povm = _povm(eye, g, sign, eta)
     povm.setflags(write=False)
-    # Per-matrix views made once: indexing the stack on every call slowed run_sequence ~5 %.
-    return tuple(map(tuple, povm))
+    # Per-matrix POVM views made once: indexing the stack on every call slowed run_sequence ~5 %.
+    return kraus.reshape(2 * n, *eye.shape), tuple(map(tuple, povm))
 
 
 def _require_dim(shape: tuple, n: int) -> None:
@@ -153,7 +147,7 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
 def _evolve(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     """``evolve_average`` without its density-matrix check, for complex states the caller built itself."""
     # Every K is Hermitian entry for entry, so K itself is the right factor K^dagger.
-    kraus = _kraus_stack(n, eta)
+    kraus = _instrument(n, eta)[0]
     d = state.shape[-1]
     if state.ndim == 2:
         # One state: two batched matmuls, each one (d, d) GEMM per K, then one reduce that adds
@@ -173,7 +167,7 @@ def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     """p(b | state, y) = Tr(state * E_y^b) for the unsharp POVM element."""
     state = np.asarray(state, dtype=complex)
     _require_dim(state.shape, setting.n)  # one state: a stack's trace would mix its slices
-    element = _povm_views(setting.n, setting.eta)[setting.y - 1][int(setting.b)]
+    element = _instrument(setting.n, setting.eta)[1][setting.y - 1][int(setting.b)]
     p = float((state @ element).trace().real)
     if not -1e-10 <= p <= 1.0 + 1e-10:  # also refuses NaN and infinities
         raise ValueError(f"marginal probability {p} outside [0, 1]; input is not a valid state")
@@ -192,6 +186,9 @@ def quality_factor(n: int, eta: float) -> float:
 
 def closed_form_witness(n: int, visibility: float, eta: float) -> float:
     """Witness of an observer seeing visibility v and measuring at sharpness eta."""
+    _require_int(n)
+    _require_unit(visibility, "visibility v")
+    _require_unit(eta, "sharpness eta")
     return 0.5 * (1.0 + visibility * eta / math.sqrt(n))
 
 

@@ -23,11 +23,13 @@ from seqcontext.sampling import sample_counts
 from seqcontext.sequence import (
     MarginalTable,
     UnsharpSetting,
+    closed_form_witness,
     evolve_average,
     marginal_probability,
     quality_factor,
     read_marginal_csv,
     run_sequence,
+    theta_to_eta,
     visibility_chain,
 )
 
@@ -151,6 +153,7 @@ CLI_CASES = [
     (["anonymous", "--n", "2", "--theta", "nan"], 2),
     (["sample", "--fixture", "observer1", "--trials", "1.5"], 2),
     (["sample", "--fixture", "observer1", "--trials", "True"], 2),
+    (["sample", "--fixture", "observer1", "--trials", "10", "--seed", "-1"], 2),
     (["sweep", "--mode", "noise", "--n", "2", "--range", "0", "1", "3"], 0),
     (["sweep", "--mode", "noise", "--n", "2", "--range", "0", ABOVE_ONE, "3"], 2),
     (["sweep", "--mode", "noise", "--n", "2", "--range", "nan", "1", "3"], 2),
@@ -184,6 +187,13 @@ LIBRARY_CASES = [
     (sample_counts, (HALVES, np.float64(10), SEED), True),
     (sample_counts, (HALVES, True, SEED), True),
     (sample_counts, (HALVES, np.bool_(True), SEED), True),
+    # A seed is an integer >= 0: None would draw OS entropy, so the result would not be reproducible.
+    (sample_counts, (HALVES, 10, np.int64(SEED)), False),
+    (sample_counts, (HALVES, 10, None), True),
+    (sample_counts, (HALVES, 10, 1.5), True),
+    (sample_counts, (HALVES, 10, "a"), True),
+    (sample_counts, (HALVES, 10, True), True),
+    (sample_counts, (HALVES, 10, -1), True),
     (run_sequence, (np.int64(2), 1.0, [0.5]), False),
     (run_sequence, (2, -0.0, [-0.0, 1.0]), False),
     (run_sequence, (2.0, 1.0, [0.5]), True),
@@ -267,6 +277,23 @@ LIBRARY_CASES = [
     (run_sequence, (2, 1.0, ["0.5"]), True),
     (run_sequence, (2, 1.0, [[0.5]]), True),
     (run_sequence, (2, 1.0, [np.array(0.5)]), True),
+    (theta_to_eta, (np.float64(0.5),), False),
+    (theta_to_eta, (1,), False),
+    (theta_to_eta, ("0.5",), True),
+    (theta_to_eta, ([0.5],), True),
+    (theta_to_eta, (None,), True),
+    (theta_to_eta, (np.array([0.5]),), True),
+    (theta_to_eta, (np.array(0.5),), True),
+    (theta_to_eta, (float("inf"),), True),
+    (theta_to_eta, (np.nan,), True),
+    (closed_form_witness, (np.int64(3), np.float64(0.5), True), False),
+    (closed_form_witness, (3, 2.0, 0.5), True),
+    (closed_form_witness, (3.5, 1.0, 1.0), True),
+    (closed_form_witness, (3, np.nan, 0.5), True),
+    (closed_form_witness, (3, np.array(0.5), 0.5), True),
+    (closed_form_witness, (0, 1, 0.5), True),
+    (closed_form_witness, ("3", 1.0, 1.0), True),
+    (closed_form_witness, (3, 0.5, float(ABOVE_ONE)), True),
     (anonymous_chain_length, (np.int64(3), np.float64(1.0)), False),
     # theta = 1.0 clears n = 3's threshold sin(theta) >= 1/sqrt(3): only its type is refused
     (anonymous_chain_length, (3, "1.0"), True),

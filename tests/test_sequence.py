@@ -42,8 +42,12 @@ def test_setting_validation():
 def test_theta_to_eta():
     assert theta_to_eta(0.0) == 0.0
     assert theta_to_eta(np.pi / 2) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sin"):
         theta_to_eta(-0.3)
+    # math.sin's own "math domain error" for an infinity is a ValueError too, but names no input
+    for bad in (np.inf, np.nan, np.array(0.5)):
+        with pytest.raises(ValueError, match="theta must be a finite real number"):
+            theta_to_eta(bad)
 
 
 def test_povm_element_limits():
@@ -233,7 +237,7 @@ def test_a_state_of_the_wrong_dimension_is_refused_before_n_instrument_is_built(
     def unreachable(n):
         raise AssertionError(f"the n={n} observable family was built")
 
-    for cache in (sequence._instrument_parts, sequence._kraus_stack, sequence._povm_views):
+    for cache in (sequence._instrument_parts, sequence._instrument):
         cache.cache_clear()
     monkeypatch.setattr(sequence, "build_observables", unreachable)
     both_dimensions = r"n=14 acts on 2\^7 x 2\^7 states, got a state of shape \(2, 2\)"
@@ -511,12 +515,19 @@ def test_cached_instruments_keep_the_input_checks():
         evolve_average(rho, 1.5, 3)
     with pytest.raises(ValueError):
         evolve_average(rho, 1.5, 3)
-    # Both (n, eta) caches, each with its per-n parts warm: a bad n or eta raises on every call.
-    for cache in (sequence._kraus_stack, sequence._povm_views):
-        cache(3, 0.5)
-        for n, eta in [(3.0, 0.5), (3, 1.5), (3, 1.5), (3, -0.1), (1, 0.5)]:
-            with pytest.raises(ValueError):
-                cache(n, eta)
+    # The (n, eta) cache, with its per-n parts warm: a bad n or eta raises on every call.
+    sequence._instrument(3, 0.5)
+    for n, eta in [(3.0, 0.5), (3, 1.5), (3, 1.5), (3, -0.1), (1, 0.5)]:
+        with pytest.raises(ValueError):
+            sequence._instrument(n, eta)
+
+
+def test_evolving_and_measuring_share_one_instrument_build():
+    rho = build_preparation(3, "010", 0.9)
+    sequence._instrument.cache_clear()
+    evolve_average(rho, 0.37, 3)
+    marginal_probability(rho, UnsharpSetting(n=3, y=1, b=0, eta=0.37))
+    assert sequence._instrument.cache_info().misses == 1
 
 
 def test_returned_instrument_matrices_are_callers_own():
@@ -536,8 +547,7 @@ def test_cached_instrument_matrices_are_read_only():
     eye, keep, rest, g, sign = sequence._instrument_parts(3)
     assert keep.shape == rest.shape == (3, 2, 2, 2) and g.shape == (3, 1, 2, 2) and sign.shape == (2, 1, 1)
     assert not any(part.flags.writeable for part in (eye, keep, rest, g, sign))
-    kraus = sequence._kraus_stack(3, 0.5)
-    povm = sequence._povm_views(3, 0.5)
+    kraus, povm = sequence._instrument(3, 0.5)
     assert kraus.shape == (6, 2, 2) and all(len(row) == 2 for row in povm) and len(povm) == 3
     assert not any(matrix.flags.writeable for matrix in (kraus, kraus.base, *kraus))
     elements = sum(povm, ())
@@ -560,8 +570,7 @@ def test_instrument_stacks_are_bit_equal_to_the_public_constructors(n):
             assert rest[y - 1, b].tobytes() == (identity(p.shape[0]) - p).tobytes()
     assert eye.tobytes() == identity(2 ** (n // 2)).tobytes()
     for eta in etas:
-        kraus = sequence._kraus_stack(n, eta)
-        povm = sequence._povm_views(n, eta)
+        kraus, povm = sequence._instrument(n, eta)
         assert kraus.shape == (2 * n, 2 ** (n // 2), 2 ** (n // 2))
         for y in range(1, n + 1):
             for b in (0, 1):
