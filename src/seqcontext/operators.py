@@ -78,7 +78,8 @@ def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:
 
 def is_density_matrix(matrix, tol: float = 1e-10) -> bool:
     m = _as_square(matrix)
-    if abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) > tol:
+    error = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    if (error if m.ndim == 2 else error.max(initial=0.0)) > tol:  # .max on one matrix's scalar is a full reduction
         return False
     return _is_positive_semidefinite(m, tol)
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .operators import _require_int, _require_unit
-from .sequence import quality_factor
+from .sequence import _quality_factor
 
 # Largest n of a critical chain: a chain has up to n steps and the dimension search runs one
 # per candidate n, so this bounds the time and report size of chain, plan and sweep.
@@ -63,7 +64,7 @@ def critical_chain(n: int, q: float) -> ChainReport:
                 next_required_eta=required,
             )
         etas.append(required)
-        v *= quality_factor(n, required)
+        v *= _quality_factor(n, required)
         visibilities.append(v)
     raise RuntimeError(f"critical chain for n={n}, q={q} failed to terminate")
 
@@ -135,8 +136,8 @@ def anonymous_chain_length(n: int, theta: float) -> float:
     The integer number of saturating observers is floor of the result.
     """
     _require_int(n, "n", 2, MAX_FLOAT_N)
-    try:  # anonymous_optimum calls this some 550 times: a float skips the slower isinstance test
-        valid = 0.0 < theta < math.pi / 2 and (type(theta) is float or not isinstance(theta, np.ndarray))
+    try:
+        valid = 0.0 < theta < math.pi / 2 and not isinstance(theta, np.ndarray)
     except TypeError:  # a string or a list does not compare
         valid = False
     if not valid:
@@ -145,7 +146,12 @@ def anonymous_chain_length(n: int, theta: float) -> float:
     critical = 1.0 / math.sqrt(n)
     if s < critical - 1e-12:
         raise ValueError(f"sin(theta) = {s} is below the single-observer threshold {critical}")
-    numerator = math.log(s) + 0.5 * math.log(n)
+    return _chain_length(n, theta)
+
+
+def _chain_length(n: int, theta: float) -> float:
+    """``anonymous_chain_length`` without its checks, for an n and theta the caller has checked."""
+    numerator = math.log(math.sin(theta)) + 0.5 * math.log(n)
     if numerator <= 0.0:
         return 1.0
     # log((1 + (n-1) cos theta) / n) in log1p form: 1 - cos theta = 2 sin^2(theta/2) keeps it from
@@ -183,20 +189,23 @@ def _golden_maximize(f, lo: float, hi: float, tol: float) -> tuple[float, float]
 def anonymous_optimum(n: int) -> AnonymousOptimum:
     """Maximize the anonymous chain length over the shared angle theta.
 
-    Deterministic: a 512-point grid scan brackets the maximum, then
-    golden-section refines it to 1e-10 in theta.
+    Deterministic, and bit-equal on any numpy dispatch: one numpy pass screens a 512-point grid, the scalar
+    formula decides its maximum (numpy's log may differ from libm's in the last bit), and golden-section
+    refines that bracket to 1e-10 in theta.
     """
     _require_int(n, "n", 3, MAX_FLOAT_N)
     grid_points = 512
     lo = math.asin(1.0 / math.sqrt(n)) + 1e-9
     hi = math.pi / 2 - 1e-9
-
-    def f(theta: float) -> float:
-        return anonymous_chain_length(n, theta)
-
-    xs = [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
-    best = max(range(grid_points), key=lambda i: f(xs[i]))
-    bracket_lo = xs[max(best - 1, 0)]
-    bracket_hi = xs[min(best + 1, grid_points - 1)]
-    theta_star, k_star = _golden_maximize(f, bracket_lo, bracket_hi, 1e-10)
+    f = partial(_chain_length, n)
+    grid = lo + (hi - lo) * np.arange(grid_points) / (grid_points - 1)
+    screen = 1.0 - (np.log(np.sin(grid)) + 0.5 * math.log(n)) / np.log1p(-2.0 * (n - 1) / n * np.sin(grid / 2) ** 2)
+    xs = grid.tolist()
+    # The screen omits the 1.0 floor (never the maximum); on the unimodal scalar grid the walks end at its first one.
+    best = int(screen.argmax())
+    while best + 1 < grid_points and f(xs[best + 1]) > f(xs[best]):
+        best += 1
+    while best > 0 and f(xs[best - 1]) >= f(xs[best]):
+        best -= 1
+    theta_star, k_star = _golden_maximize(f, xs[max(best - 1, 0)], xs[min(best + 1, grid_points - 1)], 1e-10)
     return AnonymousOptimum(n=n, theta_star=theta_star, k_star=k_star)

@@ -181,6 +181,11 @@ def quality_factor(n: int, eta: float) -> float:
     """
     _require_int(n)
     _require_unit(eta, "sharpness eta")
+    return _quality_factor(n, eta)
+
+
+def _quality_factor(n: int, eta: float) -> float:
+    """``quality_factor`` without its checks, for an n and eta the caller has checked."""
     return (1.0 + (n - 1) * math.sqrt(1.0 - eta * eta)) / n
 
 
@@ -218,7 +223,7 @@ def visibility_chain(n: int, q: float, etas) -> SequencePlan:
     factors, visibilities, predicted = [], [], []
     v = float(q)
     for eta in etas:
-        f = quality_factor(n, eta)
+        f = _quality_factor(n, eta)
         visibilities.append(v)
         factors.append(f)
         predicted.append(closed_form_witness(n, v, eta))

@@ -18,7 +18,7 @@ from seqcontext.cli import dispatch
 from seqcontext.ensembles import build_ensemble, build_preparation
 from seqcontext.equivalence_lp import PARITY_RESIDUAL_TOL, enforce_equivalences, parity_residual
 from seqcontext.operators import build_observables
-from seqcontext.planner import anonymous_chain_length, critical_chain, min_dimension_parameter
+from seqcontext.planner import anonymous_chain_length, anonymous_optimum, critical_chain, min_dimension_parameter
 from seqcontext.sampling import sample_counts
 from seqcontext.sequence import (
     MarginalTable,
@@ -299,6 +299,13 @@ LIBRARY_CASES = [
     (anonymous_chain_length, (3, "1.0"), True),
     (anonymous_chain_length, (3, [1.0]), True),
     (anonymous_chain_length, (3, np.array(1.0)), True),
+    (anonymous_optimum, (np.int64(10),), False),
+    (anonymous_optimum, (2,), True),
+    (anonymous_optimum, (3.0,), True),
+    (anonymous_optimum, (True,), True),
+    (anonymous_optimum, (2**53 + 1,), True),
+    (anonymous_optimum, ("10",), True),
+    (anonymous_optimum, (None,), True),
     (quality_factor, (np.int64(3), np.float64(0.5)), False),
     (quality_factor, (3, True), False),
     (quality_factor, (3, "0.5"), True),

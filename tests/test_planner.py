@@ -223,3 +223,98 @@ def test_library_entry_points_accept_numpy_integers():
     assert min_dimension_parameter(np.int64(2), 0.5) == min_dimension_parameter(2, 0.5)
     assert UnsharpSetting(n=n, y=np.int64(2), b=0, eta=0.5) == UnsharpSetting(n=3, y=2, b=0, eta=0.5)
     assert np.array_equal(run_sequence(n, 0.9, [0.5])[0].win, run_sequence(3, 0.9, [0.5])[0].win)
+
+
+# Reference planner as a plain scalar scan: every grid angle and every chain step goes through the scalar
+# formulas, in the same expressions as the package. The package must give the same bits.
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _scan_chain_length(n, theta):
+    numerator = math.log(math.sin(theta)) + 0.5 * math.log(n)
+    if numerator <= 0.0:
+        return 1.0
+    return 1.0 - numerator / math.log1p(-2.0 * (n - 1) / n * math.sin(theta / 2) ** 2)
+
+
+def _scan_optimum(n):
+    lo = math.asin(1.0 / math.sqrt(n)) + 1e-9
+    hi = math.pi / 2 - 1e-9
+    xs = [lo + (hi - lo) * i / 511 for i in range(512)]
+    best = max(range(512), key=lambda i: _scan_chain_length(n, xs[i]))
+    a, b = xs[max(best - 1, 0)], xs[min(best + 1, 511)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = _scan_chain_length(n, c), _scan_chain_length(n, d)
+    while b - a > 1e-10:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _scan_chain_length(n, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _scan_chain_length(n, d)
+    mid = 0.5 * (a + b)
+    return mid, _scan_chain_length(n, mid)
+
+
+def _loop_chain(n, q):
+    sqrt_n = math.sqrt(n)
+    v = float(q)
+    etas, visibilities = [], [v]
+    while True:
+        required = 1.0 / (v * sqrt_n) if v > 0 else math.inf
+        if required > 1.0:
+            return etas, visibilities, required
+        etas.append(required)
+        v *= (1.0 + (n - 1) * math.sqrt(1.0 - required * required)) / n
+        visibilities.append(v)
+
+
+SCAN_NS = [
+    *range(3, 601),
+    *range(601, 3003, 7),
+    *(10**e for e in range(4, 16)),
+    *(math.floor(1.7**k) for k in range(20, 70)),
+    2**53,
+]
+
+
+def test_anonymous_optimum_is_bit_equal_to_the_scalar_scan():
+    differ = []
+    for n in SCAN_NS:
+        opt = anonymous_optimum(n)
+        assert type(opt.theta_star) is float and type(opt.k_star) is float
+        if _bits([opt.theta_star, opt.k_star]) != _bits(_scan_optimum(n)):
+            differ.append(n)
+    assert differ == []
+
+
+@pytest.mark.parametrize("screen_denominator", [-1.0, 1.0], ids=["peak-at-right-edge", "peak-at-left-edge"])
+def test_anonymous_optimum_walks_from_a_misplaced_screen_peak(monkeypatch, screen_denominator):
+    # A constant in place of the array log1p puts the screen's maximum at one end of the grid, hundreds of points
+    # from the true one; the scalar walks must still reach the scan's index, and so its bits.
+    monkeypatch.setattr(np, "log1p", lambda x: np.full_like(x, screen_denominator))
+    for n in (3, 10, 100, 1000, 10**9):
+        opt = anonymous_optimum(n)
+        assert _bits([opt.theta_star, opt.k_star]) == _bits(_scan_optimum(n))
+
+
+@pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
+def test_critical_chain_is_bit_equal_to_the_plain_loop(q):
+    for n in range(2, MAX_CHAIN_N + 1):
+        report = critical_chain(n, q)
+        etas, visibilities, required = _loop_chain(n, q)
+        assert _bits(report.critical_etas) == _bits(etas), n
+        assert _bits(report.visibilities) == _bits(visibilities), n
+        assert _bits([report.next_required_eta]) == _bits([required]), n
+        assert report.violations == len(etas)
+
+
+@pytest.mark.parametrize("m, q", [(1, 0.8), (2, 0.7), (3, 0.9), (2, 0.35), (2, 0.5), (40, 0.7), (100, 1.0), (7, 0.2)])
+def test_min_dimension_parameter_matches_the_plain_loop(m, q):
+    first = next(n for n in range(2, MAX_CHAIN_N + 1) if len(_loop_chain(n, q)[0]) >= m)
+    assert min_dimension_parameter(m, q).n == first
