@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from functools import cache
-from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +51,7 @@ def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled recorded-table fixture (observer1..observer3)."""
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    return Path(str(files("seqcontext") / "fixtures" / f"{name}.csv"))
+    return Path(__file__).parent / "fixtures" / f"{name}.csv"
 
 
 def _sig6(value):

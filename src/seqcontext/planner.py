@@ -97,7 +97,12 @@ class DimensionPlan:
 def min_dimension_parameter(m: int, q: float) -> DimensionPlan:
     """Search the smallest n >= 2 with at least m critical-chain observers.
 
-    Refuses m and q whose ceil(m/q^2), a size that always suffices, is above ``MAX_CHAIN_N``.
+    A critical step at eta = 1/(v sqrt(n)), with u = 1 - sqrt(1 - eta^2), lowers v^2 by
+    drop = (1 - f^2)/(n eta^2), and for every 0 < eta <= 1 exactly
+    drop - (n-1)/n^2 = (n-1) u^2/(n^3 eta^2) > 0 and 1/n - drop = u (2 - u (2n-1)/n)/(n^2 eta^2) > 0.
+    So n serves at least floor(n q^2) and fewer than (n+1) q^2 observers: ceil(m/q^2) always
+    suffices and no n <= m/q^2 - 1 does. The scan starts one n below that window, a margin for
+    rounding. Refuses m and q whose ceil(m/q^2) is above ``MAX_CHAIN_N``.
     """
     _require_int(m, "m", 1)
     if not _require_unit(q, "visibility q"):  # q = 0 serves no observer
@@ -108,10 +113,9 @@ def min_dimension_parameter(m: int, q: float) -> DimensionPlan:
 
     bound_linear = math.ceil(m / q)
     bound_squared = math.ceil(m / (q * q))
-    # n = ceil(m/q^2) always suffices, so the search is bounded.
     cap = min(max(2, bound_squared) + 1, MAX_CHAIN_N)
     n_found = None
-    for n in range(2, cap + 1):
+    for n in range(max(2, bound_squared - 2), cap + 1):
         if max_shared_observers(n, q) >= m:
             n_found = n
             break

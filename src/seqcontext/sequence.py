@@ -23,8 +23,8 @@ from .operators import _require_int, _require_unit, build_observables, identity,
 # Bounds the dense simulation's work: run_sequence builds and evolves 2^n states of
 # 4^(n//2) complex entries, one after another; 2^n of them would fill this at n <= 11.
 STATE_BYTES_BUDGET = 2**26
-# Entries kept by each of the two instrument caches: n's parts, and the (n, eta) Kraus stack
-# with its POVM views. A chain's observers each use one (n, eta).
+# Entries kept by the instrument cache: an (n, eta) Kraus stack with its POVM views.
+# A chain's observers each use one (n, eta).
 INSTRUMENT_CACHE_SIZE = 8
 
 
@@ -55,71 +55,43 @@ def theta_to_eta(theta: float) -> float:
     raise ValueError(f"theta must be a finite real number, got {theta!r}")
 
 
-def _projectors(g: np.ndarray, sign) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The identity, the projector keep = (1 + sign g)/2 of observables g onto outcome signs
-    (-1)^b, and the other outcome's projector 1 - keep. Every formula of the instrument is
-    elementwise: a broadcast stack's slices are bit-equal to one (d, d) g with a float sign."""
+def _instrument_formula(g: np.ndarray, sign, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators sqrt((1+eta)/2) keep + sqrt((1-eta)/2) (1 - keep), where keep = (1 + sign g)/2
+    projects observables g onto outcome signs (-1)^b, and POVM elements (1 + sign eta g)/2. Every
+    step is elementwise: a broadcast stack's slices are bit-equal to one (d, d) g with a float sign."""
     eye = identity(g.shape[-1])
     keep = (eye + sign * g) / 2.0
-    return eye, keep, eye - keep
+    kraus = math.sqrt((1.0 + eta) / 2.0) * keep + math.sqrt((1.0 - eta) / 2.0) * (eye - keep)
+    return kraus, (eye + sign * eta * g) / 2.0
 
 
-def _unsharp(keep: np.ndarray, rest: np.ndarray, eta) -> np.ndarray:
-    """Kraus operators sqrt((1+eta)/2) keep + sqrt((1-eta)/2) rest of sharpness eta."""
-    return math.sqrt((1.0 + eta) / 2.0) * keep + math.sqrt((1.0 - eta) / 2.0) * rest
-
-
-def _povm(eye: np.ndarray, g: np.ndarray, sign, eta) -> np.ndarray:
-    """POVM elements (1 + sign eta g)/2 of sharpness eta."""
-    return (eye + sign * eta * g) / 2.0
-
-
-def _one_setting(s: UnsharpSetting) -> tuple[np.ndarray, float]:
-    return build_observables(s.n)[s.y - 1], -1.0 if s.b else 1.0
-
-
-def projector(setting: UnsharpSetting) -> np.ndarray:
-    """Sharp projector (1 + (-1)^b G_y) / 2 onto the outcome-b eigenspace."""
-    return _projectors(*_one_setting(setting))[1]
+def _one_setting(s: UnsharpSetting) -> tuple[np.ndarray, float, float]:
+    return build_observables(s.n)[s.y - 1], -1.0 if s.b else 1.0, s.eta
 
 
 def kraus_operator(setting: UnsharpSetting) -> np.ndarray:
     """Hermitian Kraus operator sqrt((1+eta)/2) P_b + sqrt((1-eta)/2) P_(1-b)."""
-    return _unsharp(*_projectors(*_one_setting(setting))[1:], setting.eta)
+    return _instrument_formula(*_one_setting(setting))[0]
 
 
 def povm_element(setting: UnsharpSetting) -> np.ndarray:
     """Unsharp POVM element (1 + (-1)^b eta G_y) / 2."""
-    g, sign = _one_setting(setting)
-    return _povm(identity(g.shape[-1]), g, sign, setting.eta)
+    return _instrument_formula(*_one_setting(setting))[1]
 
 
-# The instrument's two caches, typed: n = 3.0 or eta = 1 never share an entry with n = 3 or
-# eta = 1.0, and a miss checks n through build_observables and eta through _require_unit.
-@lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
-def _instrument_parts(n: int) -> tuple[np.ndarray, ...]:
-    """The eta-independent, read-only parts of n's instrument, broadcast over settings y and
-    outcomes b: the (d, d) identity, keep and 1 - keep of shape (n, 2, d, d), the (n, 1, d, d)
-    observables and the (2, 1, 1) signs. A fresh eta then costs two scalar multiplies and an add."""
-    g = build_observables(n)[:, None]
-    sign = np.array([1.0, -1.0])[:, None, None]
-    parts = (*_projectors(g, sign), g, sign)
-    for part in parts:
-        part.setflags(write=False)
-    return parts
-
-
+# Typed: n = 3.0 or eta = 1 never share an entry with n = 3 or eta = 1.0, and a miss checks n
+# through build_observables, then eta through _require_unit.
 @lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
 def _instrument(n: int, eta) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """The (n, eta) instrument, bit-equal to ``kraus_operator`` and ``povm_element``: its read-only
     (2n, d, d) Kraus stack in (y, b) order and its read-only POVM elements [y - 1][b]."""
-    eye, keep, rest, g, sign = _instrument_parts(n)
+    g = build_observables(n)[:, None]
     _require_unit(eta, "sharpness eta")
-    kraus, povm = _unsharp(keep, rest, eta), _povm(eye, g, sign, eta)
+    kraus, povm = _instrument_formula(g, np.array([1.0, -1.0])[:, None, None], eta)
     kraus.setflags(write=False)
     povm.setflags(write=False)
     # Per-matrix POVM views made once: indexing the stack on every call slowed run_sequence ~5 %.
-    return kraus.reshape(2 * n, *eye.shape), tuple(map(tuple, povm))
+    return kraus.reshape(2 * n, *g.shape[-2:]), tuple(map(tuple, povm))
 
 
 def _require_dim(shape: tuple, n: int) -> None:
@@ -168,7 +140,10 @@ def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     state = np.asarray(state, dtype=complex)
     _require_dim(state.shape, setting.n)  # one state: a stack's trace would mix its slices
     element = _instrument(setting.n, setting.eta)[1][setting.y - 1][int(setting.b)]
-    p = float((state @ element).trace().real)
+    try:
+        p = float((state @ element).trace().real)
+    except RuntimeWarning:  # inf * 0 in the product, raised where warnings are errors: p is NaN
+        p = math.nan
     if not -1e-10 <= p <= 1.0 + 1e-10:  # also refuses NaN and infinities
         raise ValueError(f"marginal probability {p} outside [0, 1]; input is not a valid state")
     return min(max(p, 0.0), 1.0)

@@ -473,7 +473,7 @@ def test_the_module_run_as_a_process_prints_the_in_process_report(capsys):
 
 
 def test_verify_prints_the_same_bytes_with_its_caches_cold_and_warm(capsys):
-    for cache in (sequence._instrument_parts, sequence._instrument, ensembles._signed_sums):
+    for cache in (sequence._instrument, ensembles._signed_sums):
         cache.cache_clear()
     cold = run_cli(capsys, "verify")
     assert sequence._instrument.cache_info().currsize > 0 and ensembles._signed_sums.cache_info().currsize == 1

@@ -249,6 +249,8 @@ LIBRARY_CASES = [
     (marginal_probability, ([[True, False], [False, False]], SETTING), False),
     (marginal_probability, ("0.5", SETTING), True),
     (marginal_probability, ([[np.nan, 0], [0, 0]], SETTING), True),
+    # inf * 0 in the product warns "invalid value"; under filterwarnings = error that must still read as ValueError
+    (marginal_probability, ([[np.inf, 0], [0, 0]], SETTING), True),
     (marginal_probability, (np.eye(4) / 4, SETTING), True),
     (marginal_probability, ([[[1, 0], [0, 0]]], SETTING), True),  # a stack of one state
     (build_preparation, (np.int64(3), "010", np.float64(0.5)), False),

@@ -314,7 +314,32 @@ def test_critical_chain_is_bit_equal_to_the_plain_loop(q):
         assert report.violations == len(etas)
 
 
+def _first_serving(m, q):
+    # the dimension search as a plain scan of every n from 2 up, with no sandwich window
+    return next(n for n in range(2, MAX_CHAIN_N + 1) if len(_loop_chain(n, q)[0]) >= m)
+
+
 @pytest.mark.parametrize("m, q", [(1, 0.8), (2, 0.7), (3, 0.9), (2, 0.35), (2, 0.5), (40, 0.7), (100, 1.0), (7, 0.2)])
 def test_min_dimension_parameter_matches_the_plain_loop(m, q):
-    first = next(n for n in range(2, MAX_CHAIN_N + 1) if len(_loop_chain(n, q)[0]) >= m)
-    assert min_dimension_parameter(m, q).n == first
+    assert min_dimension_parameter(m, q).n == _first_serving(m, q)
+
+
+def _seeded_pairs():
+    # (m, q) with ceil(m/q^2) <= 150, which keeps the full scans to about a second
+    rng = np.random.default_rng(20261019)
+    pairs = [(m, 1.0) for m in range(1, 40)]
+    for q in rng.uniform(0.05, 1.0, size=400).tolist():
+        pairs.append((int(rng.integers(1, max(1, math.floor(150 * q * q)), endpoint=True)), q))
+    return pairs
+
+
+def test_min_dimension_parameter_window_matches_the_full_scan():
+    for m, q in [*_seeded_pairs(), (1000, 1.0), (600, 0.8)]:
+        assert min_dimension_parameter(m, q).n == _first_serving(m, q), (m, q)
+
+
+@pytest.mark.parametrize("q", [1.0, 0.9, 0.5, 0.2])
+def test_max_shared_observers_lies_in_the_sandwich_window(q):
+    # floor(n q^2) <= count(n) < (n + 1) q^2, so the count is floor(n q^2) or one more
+    for n in range(2, MAX_CHAIN_N + 1, 7):
+        assert max_shared_observers(n, q) - math.floor(n * q * q) in (0, 1), n
