@@ -66,20 +66,20 @@ def build_preparation(n: int, x: str, q: float) -> np.ndarray:
     g = build_observables(n)
     if not isinstance(x, str) or len(x) != len(g) or any(c not in "01" for c in x):
         raise ValueError(f"x must be a bit string of length {len(g)}, got {x!r}")
-    signs = np.array([-1.0 if bit == "1" else 1.0 for bit in x])[:, None, None]
-    # One reduce adds the signed observables in setting order from +0, as a running sum would.
-    signed_sum = np.add.reduce(signs * g, axis=0, initial=0) / np.sqrt(len(g))
+    signed_sum = _signed_sum(np.array([-1.0 if bit == "1" else 1.0 for bit in x]), g)
     return (identity(g.shape[-1]) + q * signed_sum) / g.shape[-1]
+
+
+def _signed_sum(signs: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """A_x = n^(-1/2) sum_y signs[..., y] G_y for (..., n) signs: one reduce adds the signed
+    observables in setting order from +0, as a running sum would, so a stack's slices are bit-equal."""
+    return np.add.reduce(signs[..., None, None] * family, axis=-3, initial=0) / np.sqrt(len(family))
 
 
 @lru_cache(maxsize=1)  # one n at a time: build_ensemble's callers visit each n in turn
 def _signed_sums(n: int) -> np.ndarray:
     """Read-only (2^n, dim, dim) stack of every A_x, in binary order of x."""
-    family = build_observables(n)
-    acc = np.zeros((2**n, *family.shape[1:]), dtype=complex)
-    for sign, g in zip(setting_signs(n), family):
-        acc += sign[:, None, None] * g
-    acc /= np.sqrt(n)
+    acc = _signed_sum(setting_signs(n).T, build_observables(n))
     acc.setflags(write=False)
     return acc
 

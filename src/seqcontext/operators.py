@@ -13,6 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+# Largest n of every dense route: its 2^n states of 4^(n//2) complex entries take 32 MiB at
+# n = 11 and 256 MiB at n = 12. build_observables checks it, and each dense constructor goes through that.
+MAX_DENSE_N = 11
 
 
 def _frozen(matrix) -> np.ndarray:
@@ -126,8 +129,8 @@ def build_observables(n: int) -> np.ndarray:
 
     Entry ``y - 1`` is the observable for setting ``y`` (settings are 1-based
     throughout the package), and ``dim = 2 ** (n // 2)``. Raises ``ValueError``
-    unless ``n`` is an integer >= 2. Every call for the same ``n`` returns the
-    same cached array.
+    unless ``n`` is an integer in 2..``MAX_DENSE_N``. Every call for the same
+    ``n`` returns the same cached array.
     """
-    _require_int(n)
+    _require_int(n, "n", 2, MAX_DENSE_N)
     return _observable_family(int(n))

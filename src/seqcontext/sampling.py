@@ -19,7 +19,7 @@ def sample_counts(table: MarginalTable, trials_per_setting: int, seed: int) -> M
     _require_int(trials_per_setting, "trials_per_setting", 1, np.iinfo(np.int64).max)
     _require_int(seed, "seed", 0)  # None would draw OS entropy, and numpy raises TypeError for 1.5
     rng = np.random.default_rng(seed)
-    counts = rng.binomial(trials_per_setting, table.win)
+    counts = rng.binomial(trials_per_setting, np.clip(table.win, 0.0, 1.0))  # MarginalTable allows 1e-12 outside
     win = counts / float(trials_per_setting)
     sigma = np.sqrt(win * (1.0 - win) / trials_per_setting)
     return MarginalTable(n=table.n, win=win, sigma=sigma)

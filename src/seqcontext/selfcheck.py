@@ -65,12 +65,9 @@ def check_povm_completeness() -> CheckResult:
     for n in range(2, POVM_N_MAX + 1):
         eye = np.eye(build_observables(n).shape[-1])
         for eta in (0.0, 0.3, 0.7637, 1.0):
-            # The simulator's own (2n, d, d) stack, as (y, b, d, d): one batched K'K per outcome b.
+            # The simulator's own (2n, d, d) stack, as (y, b, d, d): one batched K'K, summed over b.
             kraus = _instrument(n, eta)[0].reshape(n, 2, *eye.shape)
-            total = np.zeros(kraus.shape[:1] + eye.shape, dtype=complex)
-            for b in (0, 1):
-                k = kraus[:, b]
-                total += k.conj().swapaxes(-1, -2) @ k
+            total = np.add.reduce(kraus.conj().swapaxes(-1, -2) @ kraus, axis=1, initial=0)
             worst = max(worst, float(np.max(np.abs(total - eye))))
     ok = worst <= DEFAULT_TOL
     return CheckResult("povm_completeness", ok, f"max |sum K'K - 1| = {worst:.3e}")

@@ -18,11 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .ensembles import all_bit_strings, build_preparation
-from .operators import _require_int, _require_unit, build_observables, identity, is_density_matrix
+from .operators import MAX_DENSE_N, _require_int, _require_unit, build_observables, identity, is_density_matrix
 
-# Bounds the dense simulation's work: run_sequence builds and evolves 2^n states of
-# 4^(n//2) complex entries, one after another; 2^n of them would fill this at n <= 11.
-STATE_BYTES_BUDGET = 2**26
 # Entries kept by the instrument cache: an (n, eta) Kraus stack with its POVM views.
 # A chain's observers each use one (n, eta).
 INSTRUMENT_CACHE_SIZE = 8
@@ -251,16 +248,13 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
     Observer k receives each preparation evolved through the k-1 preceding
     averaged channels, then measures at sharpness etas[k-1]. Each preparation
     is built and carried through the whole chain before the next, so one
-    state is held at a time. Sizes whose 2^n states together exceed
-    ``STATE_BYTES_BUDGET`` are refused before anything is built.
+    state is held at a time. An n above ``MAX_DENSE_N`` is refused before anything is built.
     """
     _require_int(n)
-    n = int(n)  # a numpy n would wrap the guard's int64 product to 0 from n = 30
-    state_bytes = 2**n * 4 ** (n // 2) * 16
-    if state_bytes > STATE_BYTES_BUDGET:
+    if n > MAX_DENSE_N:
         raise ValueError(
-            f"n={n} would simulate 2^n states totalling {state_bytes} bytes, above the "
-            f"{STATE_BYTES_BUDGET}-byte budget; visibility_chain gives the same witnesses in closed form"
+            f"n={n} is above MAX_DENSE_N={MAX_DENSE_N}, the largest dense simulation; "
+            "visibility_chain gives the same witnesses in closed form"
         )
     etas = tuple(float(_require_unit(e, "sharpness eta")) for e in etas)
     # settings[k][y - 1][b]: observer k + 1's measurement of setting y with outcome b

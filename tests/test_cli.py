@@ -62,9 +62,11 @@ def test_sample_counts_rejects_a_non_integer_trial_count():
 def test_sample_counts_degenerate_entries_exact():
     win = np.zeros((4, 2))
     win[0, 0] = 1.0
+    # MarginalTable accepts entries within 1e-12 of [0, 1]; the binomial draw takes only [0, 1]
+    win[1, 0], win[2, 1] = -5e-13, 1.0 + 5e-13
     table = MarginalTable(n=2, win=win)
     sampled = sample_counts(table, 10, seed=1)
-    np.testing.assert_array_equal(sampled.win, win)
+    np.testing.assert_array_equal(sampled.win, np.clip(win, 0.0, 1.0))
 
 
 def test_sample_counts_concentration():
@@ -324,6 +326,8 @@ def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
         ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "100000000"],
         ["sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "2.5"],
         ["witness", "--n", "30", "--etas", "0.5"],
+        ["witness", "--n", "7000", "--etas", "0.5"],
+        ["witness", "--n", "100000000", "--etas", "0.5"],
         ["sample", "--fixture", "observer1", "--trials", str(2**63)],
         ["sample", "--fixture", "observer1", "--trials", str(10**30)],
         ["chain", "--n", "1001"],
@@ -344,6 +348,8 @@ def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
         "count-1e8",
         "fractional-count",
         "oversized-witness",
+        "witness-n-7000",
+        "witness-n-1e8",
         "trials-2e63",
         "trials-1e30",
         "chain-1001",
@@ -359,9 +365,13 @@ def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
 def test_invalid_values_exit_2(capsys, argv):
     # each is refused up front, before any sized work starts
     start = time.perf_counter()
-    code, report = run_json(capsys, *argv)
+    code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
+    report = json.loads(out)
     assert_error_only(code, report, 2)
+    if argv[0] == "witness" and "--etas" in argv:
+        # a dense size is refused by its n alone: the report names the bound, with no size arithmetic in it
+        assert "MAX_DENSE_N" in report["error"]["message"] and len(out) < 300
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,8 @@ def _valid_tables() -> dict[str, np.ndarray]:
         tables[f"n{n}-all-0.5"] = np.full(shape, 0.5)
         tables[f"n{n}-denormal"] = np.full(shape, 5e-324)
         tables[f"n{n}-negative-zero"] = np.full(shape, -0.0)
+        # a table may lie 1e-12 outside [0, 1]; sample must clip it for the binomial draw
+        tables[f"n{n}-just-outside-0-and-1"] = np.resize([-5e-13, 1.0 + 5e-13], shape)
         tables[f"n{n}-seeded"] = rng.uniform(size=shape)
     return tables
 

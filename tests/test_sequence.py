@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from seqcontext import ensembles, sequence
+from seqcontext import ensembles, operators, sequence
 from seqcontext.ensembles import all_bit_strings, build_ensemble, build_preparation
-from seqcontext.operators import SIGMA_X, build_observables, identity, is_density_matrix
+from seqcontext.operators import MAX_DENSE_N, SIGMA_X, build_observables, identity, is_density_matrix
 from seqcontext.sequence import (
     MarginalTable,
     UnsharpSetting,
@@ -376,18 +376,35 @@ def test_run_sequence_second_observer_after_sharp():
 
 
 def test_run_sequence_refuses_sizes_above_budget(monkeypatch):
-    # n = 12 would simulate 2^12 states of 268 MB in total; the guard fires before anything is built
+    # n = 12 would simulate 2^12 states of 256 MiB in total; the guard fires before anything is built
     def unexpected(n):
         raise AssertionError("build_observables ran for an oversized chain")
 
     monkeypatch.setattr(sequence, "build_observables", unexpected)
     monkeypatch.setattr(ensembles, "build_observables", unexpected)
-    with pytest.raises(ValueError, match="visibility_chain"):
-        run_sequence(12, 1.0, [0.5])
-    with pytest.raises(ValueError, match="visibility_chain"):
-        run_sequence(30, 1.0, [0.5])
-    with pytest.raises(ValueError, match="visibility_chain"):
-        run_sequence(np.int64(64), 1.0, [0.5])  # int64 arithmetic would wrap the size to 0
+    for n in (MAX_DENSE_N + 1, 30, np.int64(64), 10**400):
+        with pytest.raises(ValueError, match="MAX_DENSE_N=11.*visibility_chain"):
+            run_sequence(n, 1.0, [0.5])
+
+
+def test_dense_constructors_refuse_n_above_max_dense_n(monkeypatch):
+    assert build_observables(MAX_DENSE_N).shape == (MAX_DENSE_N, 32, 32)
+
+    def unexpected(n):
+        raise AssertionError(f"the observable family was built for n={n}")
+
+    # build_observables checks n before the family is built, and every dense constructor goes through it
+    monkeypatch.setattr(operators, "_observable_family", unexpected)
+    calls = [
+        lambda: build_observables(MAX_DENSE_N + 1),
+        lambda: build_preparation(40, "0" * 40, 0.5),
+        lambda: build_ensemble(40, 0.5),
+        lambda: kraus_operator(UnsharpSetting(n=40, y=1, b=0, eta=0.5)),
+        lambda: povm_element(UnsharpSetting(n=40, y=1, b=0, eta=0.5)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"n must be in 2\.\.{MAX_DENSE_N}"):
+            call()
 
 
 def test_run_sequence_no_signal_at_zero_visibility():
