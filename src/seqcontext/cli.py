@@ -13,7 +13,6 @@ checks do not all pass (its full report is printed first).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -23,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, planner
-from .ensembles import all_bit_strings
 from .equivalence_lp import enforce_equivalences
 from .planner import anonymous_chain_length, anonymous_optimum, critical_chain, max_shared_observers, min_dimension_parameter
 from .sampling import sample_counts
 from .selfcheck import run_all
 from .sequence import (
+    _table_rows,
+    _write_csv,
     noncontextual_bound,
     read_marginal_csv,
     run_sequence,
@@ -154,12 +154,7 @@ def _cmd_lp(args) -> tuple[dict, dict, dict]:
     if args.include_omega:
         results["omega"] = result.omega.omega
     if args.output is not None:
-        with Path(args.output).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "p0"])
-            for ix, x in enumerate(all_bit_strings(table.n)):
-                for y in range(1, table.n + 1):
-                    writer.writerow([x, y, repr(float(result.post_table[ix, y - 1]))])
+        _write_csv(args.output, ["x", "y", "p0"], _table_rows(result.post_table))
     return {"input": source, "n": table.n}, results, {"max_parity": result.max_parity_residual}
 
 
@@ -192,21 +187,16 @@ def _sweep_rows(args) -> tuple[list[str], list[list]]:
             raise ValueError(f"--mode dimension needs finite MIN and MAX up to {planner.MAX_CHAIN_N}, got {lo:g} {hi:g}")
         ns = sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
         return ["n", "q", "violations"], [[n, args.q, max_shared_observers(n, args.q)] for n in ns]
-    if args.mode == "anonymous":
-        if args.n is None:
-            raise ValueError("--mode anonymous requires --n")
-        thetas = np.linspace(lo, hi, count)
-        return ["n", "theta", "k"], [[args.n, float(t), anonymous_chain_length(args.n, float(t))] for t in thetas]
-    raise ValueError(f"unknown sweep mode {args.mode!r}")
+    if args.n is None:  # mode anonymous, the one left of argparse's choices
+        raise ValueError("--mode anonymous requires --n")
+    thetas = np.linspace(lo, hi, count)
+    return ["n", "theta", "k"], [[args.n, float(t), anonymous_chain_length(args.n, float(t))] for t in thetas]
 
 
 def _cmd_sweep(args) -> tuple[dict, dict, dict]:
     header, rows = _sweep_rows(args)
     if args.out is not None:
-        with Path(args.out).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(_sig6(row) for row in rows)
+        _write_csv(args.out, header, _sig6(rows))
     config = {"mode": args.mode, "range": list(args.range), "n": args.n, "q": args.q, "out": args.out}
     return config, {"header": header, "rows": rows}, {}
 

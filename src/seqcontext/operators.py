@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-12
-# Largest n of every dense route: its 2^n states of 4^(n//2) complex entries take 32 MiB at
-# n = 11 and 256 MiB at n = 12. build_observables checks it, and each dense constructor goes through that.
+# Largest n of every dense route, checked by build_observables, which each dense constructor goes through.
+# build_ensemble's and verify's stacks of 2^n states of 4^(n//2) complex entries take 32 MiB at n = 11, 256 MiB at 12.
 MAX_DENSE_N = 11
 
 
@@ -43,6 +43,14 @@ def _as_square(matrix) -> np.ndarray:
     return m
 
 
+def _show_int(value) -> str:
+    """An int as its digits, or as its bit length past Python's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def _require_int(value, name: str = "n", low: int = 2, high: int | None = None) -> None:
     """ValueError unless a Python or numpy integer (bool is refused) in low..high, or >= low when high is None."""
     # The type test first: a plain int skips the slower isinstance test against numpy's integer class.
@@ -50,7 +58,7 @@ def _require_int(value, name: str = "n", low: int = 2, high: int | None = None) 
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low or high is not None and value > high:
         span = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {span}, got {value}")
+        raise ValueError(f"{name} must be {span}, got {_show_int(value)}")
 
 
 def _require_unit(value, name: str):

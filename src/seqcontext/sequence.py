@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensembles import all_bit_strings, build_preparation
-from .operators import MAX_DENSE_N, _require_int, _require_unit, build_observables, identity, is_density_matrix
+from .operators import MAX_DENSE_N, _require_int, _require_unit, _show_int, build_observables, identity, is_density_matrix
 
 # Entries kept by the instrument cache: an (n, eta) Kraus stack with its POVM views.
 # A chain's observers each use one (n, eta).
@@ -253,7 +253,7 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
     _require_int(n)
     if n > MAX_DENSE_N:
         raise ValueError(
-            f"n={n} is above MAX_DENSE_N={MAX_DENSE_N}, the largest dense simulation; "
+            f"n={_show_int(n)} is above MAX_DENSE_N={MAX_DENSE_N}, the largest dense simulation; "
             "visibility_chain gives the same witnesses in closed form"
         )
     etas = tuple(float(_require_unit(e, "sharpness eta")) for e in etas)
@@ -283,19 +283,18 @@ def read_marginal_csv(path) -> MarginalTable:
         fields = reader.fieldnames or []
         if fields[:3] != ["x", "y", "p_win"]:
             raise ValueError(f"expected header x,y,p_win[,sigma] in {path}, got {fields}")
-        has_sigma = "sigma" in fields
+        columns = ["p_win", "sigma"] if "sigma" in fields else ["p_win"]
         rows = list(reader)
     if not rows:
         raise ValueError(f"no data rows in {path}")
 
     n = len(rows[0]["x"])
-    # Count before allocating: the arrays hold n * 2^n entries, which one long
-    # bit string would otherwise make huge. Surplus rows cannot all be distinct
-    # (x, y) pairs, and the loop below names the first bad one.
+    # Count before allocating: one long bit string would make the n * 2^n entries huge. Surplus rows cannot all
+    # be distinct (x, y) pairs, and the loop names the first repeat; with none repeated, every entry is written.
     if len(rows) < n * 2**n:
         raise ValueError(f"table in {path} is incomplete: {len(rows)} rows for bit strings of length {n}")
-    win = np.full((2**n, n), np.nan)
-    sigma = np.full((2**n, n), np.nan) if has_sigma else None
+    values = np.empty((len(columns), 2**n, n))  # p_win, then sigma if present
+    seen = set()
     for row in rows:
         x = row["x"]
         if len(x) != n or any(c not in "01" for c in x):
@@ -303,26 +302,27 @@ def read_marginal_csv(path) -> MarginalTable:
         y = int(row["y"])
         if not 1 <= y <= n:
             raise ValueError(f"setting index {y} out of range 1..{n} in {path}")
-        ix = int(x, 2)
-        if not np.isnan(win[ix, y - 1]):
+        if (x, y) in seen:
             raise ValueError(f"duplicate entry for x={x}, y={y} in {path}")
-        win[ix, y - 1] = float(row["p_win"])
-        if has_sigma:
-            sigma[ix, y - 1] = float(row["sigma"])
-    if np.isnan(win).any():
-        raise ValueError(f"table in {path} is incomplete")
-    return MarginalTable(n=n, win=win, sigma=sigma)
+        seen.add((x, y))
+        for k, name in enumerate(columns):
+            values[k, int(x, 2), y - 1] = float(row[name])
+    return MarginalTable(n=n, win=values[0], sigma=values[1] if len(columns) > 1 else None)
+
+
+def _table_rows(*columns):
+    """Long-format rows [x, y, repr(c[ix, y - 1]) for each column c]: x in binary order, then y = 1..n."""
+    n = columns[0].shape[1]
+    cells = zip(*(map(repr, c.ravel().tolist()) for c in columns))  # row-major order: x, then y
+    return ([x, y, *next(cells)] for x in all_bit_strings(n) for y in range(1, n + 1))
+
+
+def _write_csv(path, header, rows) -> None:
+    """The package's one CSV writer: a header, then the rows."""
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def write_marginal_csv(table: MarginalTable, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fields = ["x", "y", "p_win"] + (["sigma"] if table.sigma is not None else [])
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for ix, x in enumerate(all_bit_strings(table.n)):
-            for y in range(1, table.n + 1):
-                row = [x, y, repr(float(table.win[ix, y - 1]))]
-                if table.sigma is not None:
-                    row.append(repr(float(table.sigma[ix, y - 1])))
-                writer.writerow(row)
+    columns = (table.win,) if table.sigma is None else (table.win, table.sigma)
+    _write_csv(path, ["x", "y", "p_win", "sigma"][: 2 + len(columns)], _table_rows(*columns))

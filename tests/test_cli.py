@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -235,6 +236,81 @@ def test_sweep_anonymous_mode(capsys):
     assert all(row[2] >= 1.0 for row in report["results"]["rows"])
 
 
+# Reference writers: one nested csv.writer loop per kind of file, which the package's one writer must match byte for byte.
+def _reference_marginal_csv(table, path):
+    with Path(path).open("w", newline="") as fh:
+        fields = ["x", "y", "p_win"] + (["sigma"] if table.sigma is not None else [])
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for ix, x in enumerate(ensembles.all_bit_strings(table.n)):
+            for y in range(1, table.n + 1):
+                row = [x, y, repr(float(table.win[ix, y - 1]))]
+                if table.sigma is not None:
+                    row.append(repr(float(table.sigma[ix, y - 1])))
+                writer.writerow(row)
+
+
+def _reference_lp_csv(n, post_table, path):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "p0"])
+        for ix, x in enumerate(ensembles.all_bit_strings(n)):
+            for y in range(1, n + 1):
+                writer.writerow([x, y, repr(float(post_table[ix, y - 1]))])
+
+
+def _reference_sweep_csv(argv, path):
+    header, rows = cli._sweep_rows(cli._build_parser().parse_args(argv))
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(cli._sig6(row) for row in rows)
+
+
+def _reference_lp(path):
+    table = read_marginal_csv(fixture_path("observer2"))
+    _reference_lp_csv(table.n, equivalence_lp.enforce_equivalences(table).post_table, path)
+
+
+def _reference_sample(path):
+    _reference_marginal_csv(sample_counts(read_marginal_csv(fixture_path("observer1")), 1_000_000, 7), path)
+
+
+SWEEPS = {
+    "noise": ["sweep", "--mode", "noise", "--n", "6", "--range", "0.2", "1.0", "9"],
+    "dimension": ["sweep", "--mode", "dimension", "--q", "0.8", "--range", "2", "40", "12"],
+    "anonymous": ["sweep", "--mode", "anonymous", "--n", "9", "--range", "0.4", "1.5", "7"],
+}
+# (argv up to the output path, the reference writer of the same file)
+COMMAND_FILES = {
+    "lp-output": (["lp", "--fixture", "observer2", "--output"], _reference_lp),
+    "sample-output": (["sample", "--fixture", "observer1", "--trials", "1000000", "--seed", "7", "--output"], _reference_sample),
+    **{
+        f"sweep-{mode}-out": ([*argv, "--out"], lambda path, argv=argv: _reference_sweep_csv(argv, path))
+        for mode, argv in SWEEPS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_FILES)
+def test_each_file_a_command_writes_is_byte_equal_to_the_nested_csv_writer_loops(capsys, tmp_path, name):
+    argv, reference = COMMAND_FILES[name]
+    assert dispatch([*argv, str(tmp_path / "written.csv")]) == 0
+    reference(tmp_path / "reference.csv")
+    written = (tmp_path / "written.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\r\n") > 1  # csv's own line ends: the header and at least one row
+
+
+@pytest.mark.parametrize("with_sigma", [False, True], ids=["p_win", "p_win-sigma"])
+def test_write_marginal_csv_is_byte_equal_to_the_nested_csv_writer_loop(tmp_path, with_sigma):
+    rng = np.random.default_rng(3)  # full-precision floats, so repr's 17 digits are pinned
+    table = MarginalTable(n=3, win=rng.random((8, 3)), sigma=rng.random((8, 3)) if with_sigma else None)
+    sequence.write_marginal_csv(table, tmp_path / "written.csv")
+    _reference_marginal_csv(table, tmp_path / "reference.csv")
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_sweep_count_at_limit_succeeds(capsys):
     code, report = run_json(capsys, "sweep", "--mode", "noise", "--n", "6", "--range", "0", "1", "10000")
     assert code == 0
@@ -304,8 +380,9 @@ N3_ROWS = [f"{x},{y},0.5" for x in ("000", "001", "010", "011", "100", "101", "1
         ("sample", N3_ROWS[:-2]),
         ("lp", N3_ROWS[:-1] + ["111,3"]),
         ("lp", ["0" * 30 + ",1,0.5"]),
+        ("lp", ["000,1,nan", *N3_ROWS]),
     ],
-    ids=["bad-bit-string", "lp-missing-rows", "sample-missing-rows", "short-row", "one-row-30-bits"],
+    ids=["bad-bit-string", "lp-missing-rows", "sample-missing-rows", "short-row", "one-row-30-bits", "lp-nan-then-duplicate"],
 )
 def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
     path = tmp_path / "table.csv"
@@ -313,6 +390,8 @@ def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
     extra = ["--trials", "10"] if command == "sample" else []
     code, report = run_json(capsys, command, "--input", str(path), *extra)
     assert_error_only(code, report, 2)
+    if rows[0] == "000,1,nan":
+        assert "duplicate entry for x=000, y=1" in report["error"]["message"]
 
 
 @pytest.mark.parametrize(

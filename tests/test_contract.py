@@ -347,6 +347,19 @@ def test_each_entry_point_returns_or_raises_value_error(call, args, raises):
         _timed(call, *args)
 
 
+# An int past Python's 4300-digit str limit: the message gives its bit length, not the str conversion's error.
+HUGE_N_CASES = [
+    (critical_chain, (10**5000, 1.0), r"n must be in 2\.\.1000, got an int of 16610 bits"),
+    (run_sequence, (10**5000, 1.0, [0.5]), r"n=an int of 16610 bits is above MAX_DENSE_N=11"),
+]
+
+
+@pytest.mark.parametrize("call, args, message", HUGE_N_CASES, ids=[call.__name__ + "(10**5000)" for call, _, _ in HUGE_N_CASES])
+def test_an_int_past_the_str_digit_limit_gets_the_range_message(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        _timed(call, *args)
+
+
 @pytest.mark.parametrize("name", [name for name in VALID if name.startswith("n2")])
 def test_enforce_equivalences_of_a_valid_array_meets_every_parity(name):
     for n in (2, np.int64(2)):

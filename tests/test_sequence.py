@@ -478,11 +478,12 @@ def test_csv_rejects_incomplete(tmp_path):
 
 def test_csv_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.csv"
-    rows = ["x,y,p_win"] + [f"{x},{y},0.5" for x in ("00", "01", "10", "11") for y in (1, 2)]
-    rows.append("00,1,0.4")
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        read_marginal_csv(path)
+    rows = [f"{x},{y},0.5" for x in ("00", "01", "10", "11") for y in (1, 2)]
+    # a later duplicate, and a nan entry before its 0.5, which must not read as a cell not yet written
+    for table in (rows + ["00,1,0.4"], ["00,1,nan"] + rows):
+        path.write_text("\n".join(["x,y,p_win", *table]) + "\n")
+        with pytest.raises(ValueError, match="duplicate entry for x=00, y=1"):
+            read_marginal_csv(path)
 
 
 def test_closed_form_witness_consistency():
