@@ -15,13 +15,12 @@ from functools import partial
 
 import numpy as np
 
-from .operators import _require_int, _require_unit
+from .operators import MAX_FLOAT_N, _require_int, _require_unit
 from .sequence import _quality_factor
 
 # Largest n of a critical chain: a chain has up to n steps and the dimension search runs one
 # per candidate n, so this bounds the time and report size of chain, plan and sweep.
 MAX_CHAIN_N = 1000
-MAX_FLOAT_N = 2**53  # largest n of the anonymous-chain formulas: every int up to it is an exact float
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensembles import all_bit_strings, build_preparation
-from .operators import MAX_DENSE_N, _require_int, _require_unit, _show_int, build_observables, identity, is_density_matrix
-
-# Entries kept by the instrument cache: an (n, eta) Kraus stack with its POVM views.
-# A chain's observers each use one (n, eta).
-INSTRUMENT_CACHE_SIZE = 8
+from .operators import MAX_DENSE_N, MAX_FLOAT_N, _require_int, _require_unit, _show_int, build_observables, identity, is_density_matrix
 
 
 @dataclass(frozen=True)
@@ -76,9 +72,10 @@ def povm_element(setting: UnsharpSetting) -> np.ndarray:
     return _instrument_formula(*_one_setting(setting))[1]
 
 
+# One entry: run_sequence measures and evolves every state with one observer's (n, eta) before the next.
 # Typed: n = 3.0 or eta = 1 never share an entry with n = 3 or eta = 1.0, and a miss checks n
 # through build_observables, then eta through _require_unit.
-@lru_cache(maxsize=INSTRUMENT_CACHE_SIZE, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def _instrument(n: int, eta) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """The (n, eta) instrument, bit-equal to ``kraus_operator`` and ``povm_element``: its read-only
     (2n, d, d) Kraus stack in (y, b) order and its read-only POVM elements [y - 1][b]."""
@@ -95,7 +92,8 @@ def _require_dim(shape: tuple, n: int) -> None:
     """ValueError unless shape is n's (2^(n // 2), 2^(n // 2)): O(1), run before n's instrument is built.
     The shift stops at 2^63, which no numpy axis reaches, so a huge n costs nothing."""
     if shape != (d := 1 << min(n // 2, 63), d):
-        raise ValueError(f"n={n} acts on 2^{n // 2} x 2^{n // 2} states, got a state of shape {shape}")
+        half = _show_int(n // 2)
+        raise ValueError(f"n={_show_int(n)} acts on 2^{half} x 2^{half} states, got a state of shape {shape}")
 
 
 def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
@@ -151,7 +149,7 @@ def quality_factor(n: int, eta: float) -> float:
 
     f = (1 + (n-1) sqrt(1 - eta^2)) / n, ranging from 1 (eta=0) to 1/n (eta=1).
     """
-    _require_int(n)
+    _require_int(n, "n", 2, MAX_FLOAT_N)
     _require_unit(eta, "sharpness eta")
     return _quality_factor(n, eta)
 
@@ -163,7 +161,7 @@ def _quality_factor(n: int, eta: float) -> float:
 
 def closed_form_witness(n: int, visibility: float, eta: float) -> float:
     """Witness of an observer seeing visibility v and measuring at sharpness eta."""
-    _require_int(n)
+    _require_int(n, "n", 2, MAX_FLOAT_N)
     _require_unit(visibility, "visibility v")
     _require_unit(eta, "sharpness eta")
     return 0.5 * (1.0 + visibility * eta / math.sqrt(n))
@@ -190,7 +188,7 @@ class SequencePlan:
 def visibility_chain(n: int, q: float, etas) -> SequencePlan:
     """Propagate visibilities v_1 = q, v_{k+1} = v_k f_k through a sharpness list."""
     _require_unit(q, "visibility q")
-    _require_int(n)
+    _require_int(n, "n", 2, MAX_FLOAT_N)
     etas = tuple(float(_require_unit(e, "sharpness eta")) for e in etas)
     factors, visibilities, predicted = [], [], []
     v = float(q)
@@ -246,9 +244,10 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
     """Simulate the full observer chain, one marginal table per observer.
 
     Observer k receives each preparation evolved through the k-1 preceding
-    averaged channels, then measures at sharpness etas[k-1]. Each preparation
-    is built and carried through the whole chain before the next, so one
-    state is held at a time. An n above ``MAX_DENSE_N`` is refused before anything is built.
+    averaged channels, then measures at sharpness etas[k-1]. The chain runs one
+    observer at a time: every state is measured, then evolved in place, so the
+    2^n states of the current step are held and each observer's instrument is
+    built once. An n above ``MAX_DENSE_N`` is refused before anything is built.
     """
     _require_int(n)
     if n > MAX_DENSE_N:
@@ -257,17 +256,17 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
             "visibility_chain gives the same witnesses in closed form"
         )
     etas = tuple(float(_require_unit(e, "sharpness eta")) for e in etas)
-    # settings[k][y - 1][b]: observer k + 1's measurement of setting y with outcome b
-    settings = [[[UnsharpSetting(n=n, y=y, b=b, eta=eta) for b in (0, 1)] for y in range(1, n + 1)] for eta in etas]
-
+    bit_strings = all_bit_strings(n)
+    states = [build_preparation(n, x, q) for x in bit_strings]
     wins = [np.empty((2**n, n)) for _ in etas]
-    for ix, x in enumerate(all_bit_strings(n)):
-        state = build_preparation(n, x, q)
-        for k, eta in enumerate(etas):
+    for k, eta in enumerate(etas):
+        # settings[y - 1][b]: this observer's measurement of setting y with outcome b
+        settings = [[UnsharpSetting(n=n, y=y, b=b, eta=eta) for b in (0, 1)] for y in range(1, n + 1)]
+        for ix, x in enumerate(bit_strings):
             for y in range(1, n + 1):
-                wins[k][ix, y - 1] = marginal_probability(state, settings[k][y - 1][int(x[y - 1])])
+                wins[k][ix, y - 1] = marginal_probability(states[ix], settings[y - 1][int(x[y - 1])])
             if k + 1 < len(etas):
-                state = evolve_average(state, eta, n)
+                states[ix] = evolve_average(states[ix], eta, n)
     return [MarginalTable(n=n, win=win) for win in wins]
 
 

@@ -360,6 +360,26 @@ def test_an_int_past_the_str_digit_limit_gets_the_range_message(call, args, mess
         _timed(call, *args)
 
 
+# An n past float range (10**400 has 401 digits, under the str limit) raises the MAX_FLOAT_N range message, not
+# OverflowError; a state checked against a huge n gets the shape message, not the str conversion's error.
+FLOAT_RANGE = r"n must be in 2\.\.9007199254740992, got "
+HALF = r"2\^an int of 16609 bits"
+SHAPE = rf"n=an int of 16610 bits acts on {HALF} x {HALF} states, got a state of shape \(2, 2\)"
+HUGE_FLOAT_N_CASES = [
+    ("quality_factor(10**5000)", quality_factor, (10**5000, 0.5), FLOAT_RANGE + "an int of 16610 bits"),
+    ("closed_form_witness(10**5000)", closed_form_witness, (10**5000, 1.0, 0.5), FLOAT_RANGE + "an int of 16610 bits"),
+    ("visibility_chain(10**400)", visibility_chain, (10**400, 1.0, [0.5]), FLOAT_RANGE + "1" + "0" * 400 + "$"),
+    ("evolve_average(10**5000)", evolve_average, (np.eye(2) / 2, 0.5, 10**5000), SHAPE),
+    ("marginal_probability(10**5000)", marginal_probability, (np.eye(2) / 2, UnsharpSetting(10**5000, 1, 0, 0.5)), SHAPE),
+]
+
+
+@pytest.mark.parametrize("call, args, message", [c[1:] for c in HUGE_FLOAT_N_CASES], ids=[c[0] for c in HUGE_FLOAT_N_CASES])
+def test_an_int_past_float_range_gets_a_value_error_with_its_message(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        _timed(call, *args)
+
+
 @pytest.mark.parametrize("name", [name for name in VALID if name.startswith("n2")])
 def test_enforce_equivalences_of_a_valid_array_meets_every_parity(name):
     for n in (2, np.int64(2)):
