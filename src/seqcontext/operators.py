@@ -14,7 +14,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 # Largest n of every dense route, checked by build_observables, which each dense constructor goes through.
-# build_ensemble's, run_sequence's and verify's 2^n states of 4^(n//2) complex entries take 32 MiB at n = 11, 256 MiB at 12.
+# build_ensemble's and run_sequence's 2^n states of 4^(n//2) complex entries take 32 MiB at n = 11, 256 MiB at 12.
 MAX_DENSE_N = 11
 MAX_FLOAT_N = 2**53  # largest n of the closed-form and anonymous-chain formulas: every int up to it is an exact float
 

@@ -74,24 +74,31 @@ def check_povm_completeness() -> CheckResult:
 
 
 def check_visibility_lemma(seed: int = 20240) -> CheckResult:
-    """Evolved average states must equal v_k * rho_x(1) + (1 - v_k) * mix."""
+    """Evolved average states must equal v_k * rho_x(1) + (1 - v_k) * mix, for every x.
+
+    Only x = 0...0 and the n single-bit x's are evolved: rho_x = (1 - |x|) rho_0 + sum_{j in x} rho_(e_j),
+    the channel is linear and the closed form is affine in x with the same weights, so any x's residual is
+    at most |1 - |x|| + |x| <= 2n - 1 times the basis's. That bound must be within ``VISIBILITY_TOL``; the
+    detail gives the raw maximum."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = bound = 0.0
     for n in range(2, 7):
         dim = build_observables(n).shape[-1]
         mix = np.eye(dim) / dim
-        pure = build_ensemble(n, 1.0)
+        basis = [0] + [1 << j for j in range(n)]  # stack indices of x = 0...0 and the single-bit x's
+        pure = build_ensemble(n, 1.0)[basis]
         for _ in range(VISIBILITY_DRAWS_PER_N):
             q = float(rng.uniform(0.05, 1.0))
             etas = [float(e) for e in rng.uniform(0.0, 1.0, size=rng.integers(1, n + 1))]
             plan = visibility_chain(n, q, etas)
-            states = build_ensemble(n, q)
+            states = build_ensemble(n, q)[basis]
             for k in range(len(etas)):
                 expected = plan.visibilities[k] * pure + (1.0 - plan.visibilities[k]) * mix
-                worst = max(worst, float(np.max(np.abs(states - expected))))
+                residual = float(np.max(np.abs(states - expected)))
+                worst, bound = max(worst, residual), max(bound, (2 * n - 1) * residual)
                 if k + 1 < len(etas):
                     states = _evolve(states, etas[k], n)
-    ok = worst <= VISIBILITY_TOL
+    ok = bound <= VISIBILITY_TOL
     return CheckResult("visibility_lemma", ok, f"max |simulated - closed form| = {worst:.3e}")
 
 

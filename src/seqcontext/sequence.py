@@ -113,21 +113,13 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
 
 def _evolve(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     """``evolve_average`` without its density-matrix check, for complex states the caller built itself."""
-    # Every K is Hermitian entry for entry, so K itself is the right factor K^dagger.
+    if state.ndim > 2:  # a stack goes slice by slice, so each slice is that state evolved alone
+        return np.array([_evolve(s, eta, n) for s in state], dtype=complex).reshape(state.shape)
+    # Every K is Hermitian entry for entry, so K itself is the right factor K^dagger. Two batched
+    # matmuls, each one (d, d) GEMM per K, then one reduce that adds the 2n terms in (y, b) order
+    # from +0, as a running sum would.
     kraus = _instrument(n, eta)[0]
-    d = state.shape[-1]
-    if state.ndim == 2:
-        # One state: two batched matmuls, each one (d, d) GEMM per K, then one reduce that adds
-        # the 2n terms in (y, b) order from +0, as a running sum would.
-        return np.add.reduce(kraus @ state @ kraus, axis=0, initial=0) / n
-    # Stacks loop over K: batching them over K as well makes (2n, m, d, d) temporaries,
-    # whose page faults made it up to 2x slower from n = 6.
-    out = np.zeros((state.size // d, d), dtype=complex)
-    for k in kraus:
-        # Left product per slice; the right one as a single (m*d, d) GEMM, whose rows
-        # round as each slice's own product does. A grouped left product would not.
-        out += (k @ state).reshape(-1, d) @ k
-    return (out / n).reshape(state.shape)
+    return np.add.reduce(kraus @ state @ kraus, axis=0, initial=0) / n
 
 
 def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
@@ -271,18 +263,15 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
 
 
 def read_marginal_csv(path) -> MarginalTable:
-    """Load a table from CSV with header ``x,y,p_win[,sigma]``.
-
-    Every (x, y) pair must appear exactly once; n is inferred from the bit
-    strings.
-    """
+    """Load a table from CSV with header ``x,y,p_win`` or ``x,y,p_win,sigma``, no field past the header's
+    and y in ASCII digits. Every (x, y) pair must appear exactly once; n is inferred from the bit strings."""
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # short rows fail as bad values, not as None
+        reader = csv.DictReader(fh, restval="")  # short rows fail as bad values, long ones file extras under None
         fields = reader.fieldnames or []
-        if fields[:3] != ["x", "y", "p_win"]:
-            raise ValueError(f"expected header x,y,p_win[,sigma] in {path}, got {fields}")
-        columns = ["p_win", "sigma"] if "sigma" in fields else ["p_win"]
+        if fields not in (["x", "y", "p_win"], ["x", "y", "p_win", "sigma"]):
+            raise ValueError(f"expected header x,y,p_win or x,y,p_win,sigma in {path}, got {fields}")
+        columns = fields[2:]
         rows = list(reader)
     if not rows:
         raise ValueError(f"no data rows in {path}")
@@ -295,12 +284,14 @@ def read_marginal_csv(path) -> MarginalTable:
     values = np.empty((len(columns), 2**n, n))  # p_win, then sigma if present
     seen = set()
     for row in rows:
-        x = row["x"]
+        x, y = row["x"], row["y"]
+        if None in row:
+            raise ValueError(f"row x={x!r}, y={y!r} has more fields than the header in {path}")
         if len(x) != n or any(c not in "01" for c in x):
             raise ValueError(f"bad bit string {x!r} in {path}")
-        y = int(row["y"])
-        if not 1 <= y <= n:
-            raise ValueError(f"setting index {y} out of range 1..{n} in {path}")
+        if not (y.isascii() and y.isdigit() and 1 <= int(y) <= n):  # int() alone takes +1, 1_0 and non-ASCII digits
+            raise ValueError(f"setting index {y!r} is not one of 1..{n} in ASCII digits in {path}")
+        y = int(y)
         if (x, y) in seen:
             raise ValueError(f"duplicate entry for x={x}, y={y} in {path}")
         seen.add((x, y))

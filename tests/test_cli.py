@@ -381,12 +381,28 @@ N3_ROWS = [f"{x},{y},0.5" for x in ("000", "001", "010", "011", "100", "101", "1
         ("lp", N3_ROWS[:-1] + ["111,3"]),
         ("lp", ["0" * 30 + ",1,0.5"]),
         ("lp", ["000,1,nan", *N3_ROWS]),
+        ("lp", N3_ROWS[:-1] + ["111,3,0.5,0.01"]),
+        ("lp", ["x,y,p_win,sigma,SIGMA"] + [row + ",0.01,0.01" for row in N3_ROWS]),
+        ("lp", ["000,+1,0.5", *N3_ROWS[1:]]),
+        ("lp", ["000,\uff11,0.5", *N3_ROWS[1:]]),
     ],
-    ids=["bad-bit-string", "lp-missing-rows", "sample-missing-rows", "short-row", "one-row-30-bits", "lp-nan-then-duplicate"],
+    ids=[
+        "bad-bit-string",
+        "lp-missing-rows",
+        "sample-missing-rows",
+        "short-row",
+        "one-row-30-bits",
+        "lp-nan-then-duplicate",
+        "extra-field",
+        "extra-header-column",
+        "plus-sign-y",
+        "fullwidth-digit-y",
+    ],
 )
 def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):
+    # Rows are written under the header x,y,p_win unless they start with a header of their own.
     path = tmp_path / "table.csv"
-    path.write_text("\n".join(["x,y,p_win", *rows]) + "\n")
+    path.write_text("\n".join(rows if rows[0].startswith("x,") else ["x,y,p_win", *rows]) + "\n", encoding="utf-8")
     extra = ["--trials", "10"] if command == "sample" else []
     code, report = run_json(capsys, command, "--input", str(path), *extra)
     assert_error_only(code, report, 2)

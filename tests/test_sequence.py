@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqcontext import ensembles, operators, sequence
+from seqcontext import ensembles, operators, selfcheck, sequence
 from seqcontext.ensembles import all_bit_strings, build_ensemble, build_preparation
 from seqcontext.operators import MAX_DENSE_N, SIGMA_X, build_observables, identity, is_density_matrix
 from seqcontext.sequence import (
@@ -200,6 +200,60 @@ def test_unchecked_evolve_core_is_byte_equal_to_evolve_average(n):
             assert sequence._evolve(core, eta, n).tobytes() == evolve_average(public, eta, n).tobytes()
             for ix in (0, len(states) - 1):
                 assert sequence._evolve(states[ix], eta, n).tobytes() == evolve_average(states[ix], eta, n).tobytes()
+
+
+@pytest.mark.parametrize("evolve", [evolve_average, sequence._evolve], ids=["evolve_average", "_evolve"])
+def test_a_stack_of_any_shape_is_evolved_slice_by_slice(evolve):
+    stack = build_ensemble(4, 0.83).reshape(4, 4, 4, 4)  # n = 4 states are 4 x 4
+    out = evolve(stack, 0.6441, 4)
+    assert out.shape == stack.shape
+    assert np.array_equal(out, np.array([[evolve(s, 0.6441, 4) for s in row] for row in stack]))
+    empty = evolve(np.zeros((0, 2, 2), dtype=complex), 0.5, 3)
+    assert empty.shape == (0, 2, 2) and empty.dtype == complex
+
+
+def _full_ensemble_visibility_detail(seed):
+    """check_visibility_lemma's detail, from all 2^n states per draw, each evolved alone."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in range(2, 7):
+        dim = build_observables(n).shape[-1]
+        mix = np.eye(dim) / dim
+        pure = build_ensemble(n, 1.0)
+        for _ in range(selfcheck.VISIBILITY_DRAWS_PER_N):
+            q = float(rng.uniform(0.05, 1.0))
+            etas = [float(e) for e in rng.uniform(0.0, 1.0, size=rng.integers(1, n + 1))]
+            plan = visibility_chain(n, q, etas)
+            states = list(build_ensemble(n, q))
+            for k in range(len(etas)):
+                expected = plan.visibilities[k] * pure + (1.0 - plan.visibilities[k]) * mix
+                worst = max(worst, float(np.max(np.abs(np.array(states) - expected))))
+                if k + 1 < len(etas):
+                    states = [evolve_average(rho, etas[k], n) for rho in states]
+    return f"max |simulated - closed form| = {worst:.3e}"
+
+
+@pytest.mark.parametrize("seed", [20240, 2024, 1])
+def test_visibility_check_on_the_basis_reports_the_full_ensemble_maximum(seed):
+    result = selfcheck.check_visibility_lemma(seed)
+    assert result.ok
+    assert result.detail == _full_ensemble_visibility_detail(seed)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_evolved_states_are_the_affine_combination_of_the_evolved_basis(n):
+    # rho_x = (1 - |x|) rho_0 + sum_{j in x} rho_(e_j), and the channel is linear: the visibility check's
+    # (2n - 1) bound rests on this holding for every evolved state, not only for the preparations.
+    rng = np.random.default_rng(80 + n)
+    basis = [0] + [1 << j for j in range(n)]
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # bits[x, j]: whether x holds e_j
+    weights = np.hstack([1 - bits.sum(axis=1, keepdims=True), bits]).astype(float)
+    for _ in range(3):
+        states = build_ensemble(n, float(rng.uniform(0.05, 1.0)))
+        for eta in rng.uniform(0.0, 1.0, size=n):
+            combined = np.tensordot(weights, states[basis], axes=1)
+            assert np.max(np.abs(states - combined)) <= 1e-14
+            states = evolve_average(states, float(eta), n)
 
 
 def _with_bad_slice(kind):
