@@ -72,49 +72,33 @@ def _require_unit(value, name: str):
     raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-# The three predicates take one d x d matrix or a (..., d, d) stack, and hold only when every slice passes.
-# Each converts and shape-checks its input once, then hands the array to the private forms below.
-def is_hermitian(matrix, tol: float = DEFAULT_TOL) -> bool:
-    return _is_hermitian(_as_square(matrix), tol)
+STATE_TOL = 1e-8  # is_density_matrix's one tolerance: on |tr - 1|, the Hermitian defect and -lambda_min
 
 
-def is_positive_semidefinite(matrix, tol: float = 1e-10) -> bool:
-    """Hermitian with smallest eigenvalue >= -tol.
+def is_density_matrix(matrix) -> bool:
+    """Trace 1, Hermitian and positive semidefinite, each to ``STATE_TOL``; NaN fails.
 
-    A Cholesky factorisation of m + (tol/2) 1 screens the stack first. It is backward
-    stable, so its success proves lambda_min > -tol/2 - O(d u |m|), above -tol for any
-    matrix of modest norm such as a density matrix; when it fails, eigvalsh decides.
+    Takes one d x d matrix or a (..., d, d) stack, and holds only when every slice passes. A Cholesky
+    factorisation of m + (STATE_TOL/2) 1 screens for positivity first. It is backward stable, so its
+    success proves lambda_min > -STATE_TOL/2 - O(d u |m|), above -STATE_TOL for any matrix of modest
+    norm such as a density matrix; when it fails, eigvalsh decides.
     """
-    return _is_positive_semidefinite(_as_square(matrix), tol)
-
-
-def is_density_matrix(matrix, tol: float = 1e-10) -> bool:
     m = _as_square(matrix)
     error = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
-    if (error if m.ndim == 2 else error.max(initial=0.0)) > tol:  # .max on one matrix's scalar is a full reduction
+    if (error if m.ndim == 2 else error.max(initial=0.0)) > STATE_TOL:  # .max on one scalar is a full reduction
         return False
-    return _is_positive_semidefinite(m, tol)
-
-
-def _is_hermitian(m: np.ndarray, tol: float) -> bool:
-    return bool(abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= tol)
-
-
-def _is_positive_semidefinite(m: np.ndarray, tol: float) -> bool:
-    if not _is_hermitian(m, max(tol, DEFAULT_TOL)):
+    if not abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= STATE_TOL:
         return False
-    if tol > 0:
-        try:
-            np.linalg.cholesky(m + _shift(m.shape[-1], tol))
-            return True
-        except np.linalg.LinAlgError:
-            pass
-    return bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
+    try:
+        np.linalg.cholesky(m + _shift(m.shape[-1]))
+        return True
+    except np.linalg.LinAlgError:
+        return bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -STATE_TOL)
 
 
-@lru_cache(maxsize=32)  # the screen's read-only shift (tol/2) 1, made once per (dim, tol)
-def _shift(dim: int, tol: float) -> np.ndarray:
-    return _frozen((tol / 2) * np.eye(dim))
+@lru_cache(maxsize=32)  # the screen's read-only shift (STATE_TOL/2) 1, made once per dim
+def _shift(dim: int) -> np.ndarray:
+    return _frozen((STATE_TOL / 2) * np.eye(dim))
 
 
 @lru_cache(maxsize=None)

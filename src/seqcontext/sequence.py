@@ -33,8 +33,7 @@ class UnsharpSetting:
     def __post_init__(self):
         _require_int(self.n)
         _require_int(self.y, "setting index y", 1, self.n)
-        if self.b not in (0, 1):
-            raise ValueError(f"outcome b must be 0 or 1, got {self.b}")
+        _require_int(self.b, "outcome b", 0, 1)
         _require_unit(self.eta, "sharpness eta")
 
 
@@ -106,7 +105,7 @@ def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     _require_unit(eta, "sharpness eta")
     state = np.asarray(state, dtype=complex)
     _require_dim(state.shape[-2:], n)  # a stack passes when each of its states meets n
-    if not is_density_matrix(state, tol=1e-8):
+    if not is_density_matrix(state):
         raise ValueError("evolve_average requires a density matrix input")
     return _evolve(state, eta, n)
 
@@ -126,7 +125,7 @@ def marginal_probability(state: np.ndarray, setting: UnsharpSetting) -> float:
     """p(b | state, y) = Tr(state * E_y^b) for the unsharp POVM element."""
     state = np.asarray(state, dtype=complex)
     _require_dim(state.shape, setting.n)  # one state: a stack's trace would mix its slices
-    element = _instrument(setting.n, setting.eta)[1][setting.y - 1][int(setting.b)]
+    element = _instrument(setting.n, setting.eta)[1][setting.y - 1][setting.b]
     try:
         p = float((state @ element).trace().real)
     except RuntimeWarning:  # inf * 0 in the product, raised where warnings are errors: p is NaN
@@ -263,8 +262,9 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
 
 
 def read_marginal_csv(path) -> MarginalTable:
-    """Load a table from CSV with header ``x,y,p_win`` or ``x,y,p_win,sigma``, no field past the header's
-    and y in ASCII digits. Every (x, y) pair must appear exactly once; n is inferred from the bit strings."""
+    """Load a table from CSV with header ``x,y,p_win`` or ``x,y,p_win,sigma``, no field past the header's,
+    y in ASCII digits and each value one that float() reads, in ASCII with no ``_`` and no surrounding
+    whitespace. Every (x, y) pair must appear exactly once; n is inferred from the bit strings."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh, restval="")  # short rows fail as bad values, long ones file extras under None
@@ -296,7 +296,10 @@ def read_marginal_csv(path) -> MarginalTable:
             raise ValueError(f"duplicate entry for x={x}, y={y} in {path}")
         seen.add((x, y))
         for k, name in enumerate(columns):
-            values[k, int(x, 2), y - 1] = float(row[name])
+            text = row[name]
+            if not text.isascii() or "_" in text or text != text.strip():  # float() takes all three
+                raise ValueError(f"{name} {text!r} at x={x}, y={y} is not ASCII without _ or outer spaces in {path}")
+            values[k, int(x, 2), y - 1] = float(text)
     return MarginalTable(n=n, win=values[0], sigma=values[1] if len(columns) > 1 else None)
 
 

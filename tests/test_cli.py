@@ -385,6 +385,12 @@ N3_ROWS = [f"{x},{y},0.5" for x in ("000", "001", "010", "011", "100", "101", "1
         ("lp", ["x,y,p_win,sigma,SIGMA"] + [row + ",0.01,0.01" for row in N3_ROWS]),
         ("lp", ["000,+1,0.5", *N3_ROWS[1:]]),
         ("lp", ["000,\uff11,0.5", *N3_ROWS[1:]]),
+        ("lp", ["000,1,0.2_5", *N3_ROWS[1:]]),
+        ("lp", ["000,1,\uff10.\uff15", *N3_ROWS[1:]]),
+        ("lp", ["000,1, 0.5 ", *N3_ROWS[1:]]),
+        ("lp", ["x,y,p_win,sigma", "000,1,0.5,0.0_1", *(row + ",0.01" for row in N3_ROWS[1:])]),
+        ("lp", ["x,y,p_win,sigma", "000,1,0.5,\uff10.\uff10\uff11", *(row + ",0.01" for row in N3_ROWS[1:])]),
+        ("lp", ["x,y,p_win,sigma", "000,1,0.5, 0.01 ", *(row + ",0.01" for row in N3_ROWS[1:])]),
     ],
     ids=[
         "bad-bit-string",
@@ -397,6 +403,12 @@ N3_ROWS = [f"{x},{y},0.5" for x in ("000", "001", "010", "011", "100", "101", "1
         "extra-header-column",
         "plus-sign-y",
         "fullwidth-digit-y",
+        "underscore-p_win",
+        "fullwidth-p_win",
+        "spaced-p_win",
+        "underscore-sigma",
+        "fullwidth-sigma",
+        "spaced-sigma",
     ],
 )
 def test_malformed_csv_exits_2(capsys, tmp_path, command, rows):

@@ -6,11 +6,10 @@ from seqcontext.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    STATE_TOL,
     build_observables,
     identity,
     is_density_matrix,
-    is_hermitian,
-    is_positive_semidefinite,
 )
 
 
@@ -54,7 +53,7 @@ def test_family_algebra(n):
     dim = 2 ** (n // 2)
     assert family.shape == (n, dim, dim)
     for g in family:
-        assert is_hermitian(g)
+        np.testing.assert_array_equal(g, g.conj().T)
         assert abs(np.trace(g)) <= 1e-12
         np.testing.assert_allclose(g @ g, identity(dim), atol=1e-12)
     anti = family[:, None] @ family[None] + family[None] @ family[:, None]
@@ -99,75 +98,82 @@ def test_build_observables_returns_the_cached_set():
 
 
 def test_predicates_hold_on_a_stack_only_when_every_slice_does():
-    stack = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2, SIGMA_X])
-    assert is_hermitian(stack) and not is_positive_semidefinite(stack)
-    assert is_positive_semidefinite(stack[:2])
+    stack = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2, np.diag([1.5, -0.5])])
+    assert not is_density_matrix(stack)
+    assert is_density_matrix(stack[:2])
     stack[1, 0, 1] = 0.5
-    assert not is_hermitian(stack)
+    assert not is_density_matrix(stack[:2])
 
 
 def test_predicates_on_non_examples():
-    assert not is_hermitian(np.array([[0, 1], [0, 0]]))
-    assert not is_positive_semidefinite(-np.eye(2))
-    assert is_positive_semidefinite(np.diag([1.0, 0.0]))
+    assert not is_density_matrix(np.array([[0.5, 1], [0, 0.5]]))  # not Hermitian
+    assert not is_density_matrix(np.diag([2.0, -1.0]))  # an eigenvalue below -STATE_TOL
+    assert not is_density_matrix(np.eye(2))  # trace 2
+    assert is_density_matrix(np.diag([1.0, 0.0]))
 
 
 def test_tensor_product_rejects_nonsquare():
-    # the operator predicates take (..., d, d) input and reject anything else
+    # the state check takes (..., d, d) input and rejects anything else
     for not_square in (np.ones((2, 3)), np.ones(4), np.ones((5, 2, 3))):
-        for predicate in (is_hermitian, is_positive_semidefinite, is_density_matrix):
-            with pytest.raises(ValueError, match="must be a"):
-                predicate(not_square)
+        with pytest.raises(ValueError, match="must be a"):
+            is_density_matrix(not_square)
 
 
-def _eigvalsh_decision(m, tol):
-    # The rule the Cholesky screen must reproduce: Hermitian, then the smallest eigenvalue alone.
-    return is_hermitian(m, max(tol, 1e-12)) and bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
+def _eigvalsh_decision(m):
+    # The rule the Cholesky screen must reproduce: trace and Hermitian defect, then the smallest eigenvalue alone.
+    m = np.asarray(m, dtype=complex)
+    return bool(
+        abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= STATE_TOL
+        and abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= STATE_TOL
+        and np.linalg.eigvalsh(m).min(initial=np.inf) >= -STATE_TOL
+    )
 
 
 def _with_smallest_eigenvalue(rng, d, smallest):
-    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    u, _ = np.linalg.qr(raw)
-    lam = rng.uniform(0.0, 1.0, size=d)
-    lam[0] = smallest
+    # Trace 1; for d > 2 the second eigenvalue is 0, so the matrix is near-singular too.
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rest = rng.uniform(0.0, 1.0, size=d - 1)
     if d > 2:
-        lam[1] = 0.0
+        rest[0] = 0.0
+    lam = np.concatenate([[smallest], rest * (1.0 - smallest) / rest.sum()])
     m = (u * lam) @ u.conj().T
     return (m + m.conj().T) / 2
 
 
+# The smallest eigenvalue is -f * scale: scale = STATE_TOL straddles the check's edge, and
+# scale = 1e-10 gives the slightly negative eigenvalues of rounded states, which must pass.
 @pytest.mark.parametrize("f", [0.5, 0.999, 0.999999, 1.0, 1.000001, 1.001, 2.0])
-@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("scale", [1e-10, 1e-8])
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
-def test_cholesky_screen_decides_like_eigvalsh(d, tol, f):
-    rng = np.random.default_rng([d, int(-np.log10(tol)), int(f * 1e6)])
-    matrices = [_with_smallest_eigenvalue(rng, d, -f * tol) for _ in range(20)]
-    decisions = [is_positive_semidefinite(m, tol) for m in matrices]
-    assert decisions == [_eigvalsh_decision(m, tol) for m in matrices]
-    if f in (0.5, 0.999, 1.001, 2.0):  # far enough from -tol that rounding cannot flip the answer
-        assert decisions == [f < 1.0] * len(matrices)
+def test_cholesky_screen_decides_like_eigvalsh(d, scale, f):
+    rng = np.random.default_rng([d, int(-np.log10(scale)), int(f * 1e6)])
+    matrices = [_with_smallest_eigenvalue(rng, d, -f * scale) for _ in range(20)]
+    decisions = [is_density_matrix(m) for m in matrices]
+    assert decisions == [_eigvalsh_decision(m) for m in matrices]
+    if f in (0.5, 0.999, 1.001, 2.0):  # far enough from -STATE_TOL that rounding cannot flip the answer
+        assert decisions == [f * scale < STATE_TOL] * len(matrices)
     stack = np.stack(matrices)
-    assert is_positive_semidefinite(stack, tol) == all(decisions)
+    assert is_density_matrix(stack) == all(decisions)
 
 
 def test_cholesky_screen_on_stacks_singular_matrices_and_nan():
     rng = np.random.default_rng(5)
     good = np.stack([_with_smallest_eigenvalue(rng, 4, 0.0) for _ in range(8)])
-    assert is_positive_semidefinite(good)
+    assert is_density_matrix(good)
     bad = good.copy()
-    bad[6] = _with_smallest_eigenvalue(rng, 4, -2e-10)
-    assert not is_positive_semidefinite(bad) and not _eigvalsh_decision(bad, 1e-10)
-    assert is_positive_semidefinite(np.delete(bad, 6, axis=0))
-    # tol = 0 skips the screen: exactly what eigvalsh says, on exact and rounded singular matrices.
-    for m in (np.diag([1.0, 0.0]), good[0], np.zeros((3, 3))):
-        assert is_positive_semidefinite(m, 0.0) == _eigvalsh_decision(m, 0.0)
-    assert is_positive_semidefinite(np.diag([1.0, 0.0]), 0.0)
+    bad[6] = _with_smallest_eigenvalue(rng, 4, -2 * STATE_TOL)
+    assert not is_density_matrix(bad) and not _eigvalsh_decision(bad)
+    assert is_density_matrix(np.delete(bad, 6, axis=0))
+    # exact and rounded singular states pass, as eigvalsh says
+    for m in (np.diag([1.0, 0.0]), good[0]):
+        assert is_density_matrix(m) and _eigvalsh_decision(m)
     nan = good.copy()
     nan[2, 1, 1] = np.nan
-    assert not is_positive_semidefinite(nan) and not is_positive_semidefinite(nan[2])
+    assert not is_density_matrix(nan) and not is_density_matrix(nan[2])
 
 
-# The predicates as they read before each converted its input once, for the decision test below.
+# The state check and the two predicates it called, as they read with a tol argument:
+# the reference for the decision test below, called at tol = STATE_TOL.
 def _old_is_hermitian(matrix, tol=1e-12):
     m = np.asarray(matrix, dtype=complex)
     return bool(abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= tol)
@@ -193,26 +199,26 @@ def _old_is_density_matrix(matrix, tol=1e-10):
     return _old_is_positive_semidefinite(m, tol)
 
 
-def _boundary_cases(d, tol, rng):
-    """Density matrices pushed to each of the checks' edges: trace off by about +-tol, a Hermitian
-    defect of about +-tol, lambda_min near -tol/2, and NaN entries."""
+def _boundary_cases(d, scale, rng):
+    """Density matrices pushed by about +-scale: trace off by it, a Hermitian defect of it,
+    lambda_min near -scale/2; and NaN entries. scale = STATE_TOL puts them on the check's edges."""
     unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     cases = [np.eye(d) / d]
     for f in (0.5, 0.999999, 1.0, 1.000001, 2.0):
         for sign in (1.0, -1.0):
             trace_off = unitary @ np.diag(np.full(d, 1.0 / d)) @ unitary.conj().T
-            trace_off[0, 0] += sign * f * tol
+            trace_off[0, 0] += sign * f * scale
             cases.append(trace_off)
             defect = unitary @ np.diag(np.full(d, 1.0 / d)) @ unitary.conj().T
-            defect[0, 1] += sign * f * tol
+            defect[0, 1] += sign * f * scale
             cases.append(defect)
             defect = defect.copy()
-            defect[1, 0] += 1j * sign * f * tol
+            defect[1, 0] += 1j * sign * f * scale
             cases.append(defect)
         for g in (f, 2.0 * f, 0.25 * f):
-            # smallest eigenvalue -g tol / 2, trace 1
-            eigenvalues = np.full(d, (1.0 + g * tol / 2) / (d - 1))
-            eigenvalues[0] = -g * tol / 2
+            # smallest eigenvalue -g scale / 2, trace 1
+            eigenvalues = np.full(d, (1.0 + g * scale / 2) / (d - 1))
+            eigenvalues[0] = -g * scale / 2
             cases.append(unitary @ np.diag(eigenvalues) @ unitary.conj().T)
     for entry in ((0, 0), (0, 1), (d - 1, 0)):
         nan = unitary @ np.diag(np.full(d, 1.0 / d)) @ unitary.conj().T
@@ -221,19 +227,20 @@ def _boundary_cases(d, tol, rng):
     return cases
 
 
+# scale = STATE_TOL puts the cases on the check's edges; the smaller scales and 0.0 (exact and singular
+# states) give the rounding-level defects every simulated state carries, which must pass.
 @pytest.mark.parametrize("d", [2, 4, 8])
-@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 0.0])
-def test_predicates_decide_as_before_on_single_matrices_and_stacks(d, tol):
-    cases = _boundary_cases(d, tol if tol else 1e-10, np.random.default_rng(20261019 + d))
+@pytest.mark.parametrize("scale", [1e-8, 1e-10, 1e-12, 0.0])
+def test_predicates_decide_as_before_on_single_matrices_and_stacks(d, scale):
+    cases = _boundary_cases(d, scale, np.random.default_rng(20261019 + d))
     for m in cases:
         for s in (m, np.stack([np.eye(d) / d, m]), m[None, None]):
-            assert is_hermitian(s, max(tol, 1e-12)) == _old_is_hermitian(s, max(tol, 1e-12))
-            assert is_positive_semidefinite(s, tol) == _old_is_positive_semidefinite(s, tol)
-            assert is_density_matrix(s, tol) == _old_is_density_matrix(s, tol)
+            assert is_density_matrix(s) == _old_is_density_matrix(s, STATE_TOL) == _eigvalsh_decision(s)
     stack = np.stack(cases)
-    assert is_density_matrix(stack, tol) == _old_is_density_matrix(stack, tol)
-    assert is_density_matrix(stack[:0], tol) == _old_is_density_matrix(stack[:0], tol)
-    # the edges are exercised: every one of the three predicates both holds and fails somewhere
-    assert len({is_hermitian(m, max(tol, 1e-12)) for m in cases}) == 2
-    for new in (is_positive_semidefinite, is_density_matrix):
-        assert len({new(m, tol) for m in cases}) == 2
+    assert is_density_matrix(stack) == _old_is_density_matrix(stack, STATE_TOL) == _eigvalsh_decision(stack)
+    assert is_density_matrix(stack[:0]) == _old_is_density_matrix(stack[:0], STATE_TOL)
+    # After cases[0], each f adds 9 cases: trace (offsets 0, 3), Hermitian defect (1, 2, 4, 5), lambda_min (6, 7, 8).
+    # At STATE_TOL each of the three tests both holds and fails somewhere; below it every non-NaN case passes.
+    for offsets in ((0, 3), (1, 2, 4, 5), (6, 7, 8)):
+        decisions = {is_density_matrix(cases[1 + 9 * k + o]) for k in range(5) for o in offsets}
+        assert decisions == ({True, False} if scale == STATE_TOL else {True})

@@ -40,6 +40,14 @@ def test_setting_validation():
         UnsharpSetting(n=3, y=4, b=0, eta=0.5)
     with pytest.raises(ValueError):
         UnsharpSetting(n=3, y=1, b=2, eta=0.5)
+    # b gets y's integer rule: bool and floats are refused, numpy integers count
+    for b in (True, 1.0, np.float64(0.0)):
+        with pytest.raises(ValueError, match="outcome b must be an integer"):
+            UnsharpSetting(n=3, y=1, b=b, eta=0.5)
+    setting = UnsharpSetting(n=3, y=1, b=np.int64(1), eta=0.5)
+    assert marginal_probability(np.eye(2) / 2, setting) == marginal_probability(
+        np.eye(2) / 2, UnsharpSetting(n=3, y=1, b=1, eta=0.5)
+    )
     with pytest.raises(ValueError):
         UnsharpSetting(n=3, y=1, b=0, eta=1.2)
 
@@ -514,13 +522,14 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_round_trip_with_sigma(tmp_path):
-    win = np.full((4, 2), 0.25)
-    sigma = np.full((4, 2), 0.01)
+    # repr's exponent forms, such as 5e-324 and 1e-05, pass the value-field rule and come back bit for bit
+    win = np.resize([0.25, 1e-05, 5e-324, -0.0, 1.0], (4, 2))
+    sigma = np.resize([0.01, 5e-324, 1e-05, 1e300], (4, 2))
     table = MarginalTable(n=2, win=win, sigma=sigma)
     path = tmp_path / "sig.csv"
     write_marginal_csv(table, path)
     loaded = read_marginal_csv(path)
-    np.testing.assert_allclose(loaded.sigma, sigma, atol=0)
+    assert loaded.win.tobytes() == win.tobytes() and loaded.sigma.tobytes() == sigma.tobytes()
 
 
 def test_csv_rejects_incomplete(tmp_path):
