@@ -56,19 +56,12 @@ def fixture_path(name: str) -> Path:
 
 def _sig6(value):
     """Round floats to 6 significant digits, recursively; non-finite becomes None."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return float(f"{v:.6g}") if math.isfinite(v) else None
-    if isinstance(value, (int, np.integer)):
-        return int(value)
+    if isinstance(value, float):  # np.float64 included: it subclasses float
+        return float(f"{value:.6g}") if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _sig6(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sig6(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_sig6(v) for v in value.tolist()]
     return value
 
 
@@ -152,7 +145,7 @@ def _cmd_lp(args) -> tuple[dict, dict, dict]:
         "status": result.status,
     }
     if args.include_omega:
-        results["omega"] = result.omega.omega
+        results["omega"] = result.omega.omega.tolist()
     if args.output is not None:
         _write_csv(args.output, ["x", "y", "p0"], _table_rows(result.post_table))
     return {"input": source, "n": table.n}, results, {"max_parity": result.max_parity_residual}

@@ -146,15 +146,13 @@ def enumerate_vertex_optimum(c, a_eq, b_eq):
     a = np.atleast_2d(np.asarray(a_eq, dtype=float))
     b = np.asarray(b_eq, dtype=float).reshape(-1)
     rank = np.linalg.matrix_rank(a)
-    combos = np.array(list(combinations(range(c.size), rank)), dtype=int)
-    # One stacked SVD screens every column choice; each (rows, rank) slice gets its own rank.
-    full = np.linalg.matrix_rank(a[:, combos].transpose(1, 0, 2)) == rank
     best = None
-    for cols in combos[full]:
-        xs, *_ = np.linalg.lstsq(a[:, cols], b, rcond=None)
+    for cols in map(list, combinations(range(c.size), rank)):  # lists: a tuple would index x as 2-D
+        # rcond=None cuts singular values where matrix_rank does, so the solve's own rank says if cols is a basis
+        xs, _, cols_rank, _ = np.linalg.lstsq(a[:, cols], b, rcond=None)
         x = np.zeros(c.size)
         x[cols] = xs
-        if np.min(xs) < -LP_TOL or np.max(np.abs(a @ x - b)) > LP_TOL:
+        if cols_rank < rank or np.min(xs) < -LP_TOL or np.max(np.abs(a @ x - b)) > LP_TOL:
             continue
         value = float(c @ x)
         if best is None or value > best:

@@ -262,31 +262,30 @@ def run_sequence(n: int, q: float, etas) -> list[MarginalTable]:
 
 
 def read_marginal_csv(path) -> MarginalTable:
-    """Load a table from CSV with header ``x,y,p_win`` or ``x,y,p_win,sigma``, no field past the header's,
-    y in ASCII digits and each value one that float() reads, in ASCII with no ``_`` and no surrounding
-    whitespace. Every (x, y) pair must appear exactly once; n is inferred from the bit strings."""
+    """Load a table from CSV whose first line is the header ``x,y,p_win`` or ``x,y,p_win,sigma``. Blank lines are
+    skipped; every other row has the header's field count, y in ASCII digits and values that float() reads, in ASCII
+    with no ``_`` and no surrounding whitespace. Each (x, y) pair appears exactly once; n comes from the bit strings."""
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # short rows fail as bad values, long ones file extras under None
-        fields = reader.fieldnames or []
-        if fields not in (["x", "y", "p_win"], ["x", "y", "p_win", "sigma"]):
-            raise ValueError(f"expected header x,y,p_win or x,y,p_win,sigma in {path}, got {fields}")
-        columns = fields[2:]
-        rows = list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header not in (["x", "y", "p_win"], ["x", "y", "p_win", "sigma"]):
+            raise ValueError(f"expected header x,y,p_win or x,y,p_win,sigma in {path}, got {header}")
+        rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"no data rows in {path}")
 
-    n = len(rows[0]["x"])
+    n = len(rows[0][0])
     # Count before allocating: one long bit string would make the n * 2^n entries huge. Surplus rows cannot all
     # be distinct (x, y) pairs, and the loop names the first repeat; with none repeated, every entry is written.
     if len(rows) < n * 2**n:
         raise ValueError(f"table in {path} is incomplete: {len(rows)} rows for bit strings of length {n}")
-    values = np.empty((len(columns), 2**n, n))  # p_win, then sigma if present
+    values = np.empty((len(header) - 2, 2**n, n))  # p_win, then sigma if present
     seen = set()
     for row in rows:
-        x, y = row["x"], row["y"]
-        if None in row:
-            raise ValueError(f"row x={x!r}, y={y!r} has more fields than the header in {path}")
+        if len(row) != len(header):
+            raise ValueError(f"row {','.join(row)!r} has {len(row)} fields, the header {len(header)}, in {path}")
+        x, y, *texts = row
         if len(x) != n or any(c not in "01" for c in x):
             raise ValueError(f"bad bit string {x!r} in {path}")
         if not (y.isascii() and y.isdigit() and 1 <= int(y) <= n):  # int() alone takes +1, 1_0 and non-ASCII digits
@@ -295,12 +294,14 @@ def read_marginal_csv(path) -> MarginalTable:
         if (x, y) in seen:
             raise ValueError(f"duplicate entry for x={x}, y={y} in {path}")
         seen.add((x, y))
-        for k, name in enumerate(columns):
-            text = row[name]
-            if not text.isascii() or "_" in text or text != text.strip():  # float() takes all three
-                raise ValueError(f"{name} {text!r} at x={x}, y={y} is not ASCII without _ or outer spaces in {path}")
-            values[k, int(x, 2), y - 1] = float(text)
-    return MarginalTable(n=n, win=values[0], sigma=values[1] if len(columns) > 1 else None)
+        for k, (name, text) in enumerate(zip(header[2:], texts)):
+            try:
+                if not text.isascii() or "_" in text or text != text.strip():  # float() takes all three
+                    raise ValueError
+                values[k, int(x, 2), y - 1] = float(text)
+            except ValueError:
+                raise ValueError(f"{name} {text!r} at x={x}, y={y} is not a number in {path}") from None
+    return MarginalTable(n=n, win=values[0], sigma=values[1] if len(header) > 3 else None)
 
 
 def _table_rows(*columns):

@@ -199,6 +199,8 @@ def test_sample_command_round_trip(capsys, tmp_path):
     assert code == 0
     sampled = read_marginal_csv(out)
     assert sampled.n == 3
+    expected = sample_counts(read_marginal_csv(fixture_path("observer1")), 100000, 5)
+    assert sampled.win.tobytes() == expected.win.tobytes() and sampled.sigma.tobytes() == expected.sigma.tobytes()
     assert report["results"]["witness_sampled"] == pytest.approx(
         witness(sampled), abs=1e-6
     )
@@ -529,6 +531,39 @@ REUSE_ARGVS = [
     ["sweep", "--mode", "dimension", "--q", "0.8", "--range", "2", "12", "4"],
     ["verify"],
 ]
+
+
+PLAIN_TYPES = {dict, list, tuple, str, bool, int, float, type(None)}
+
+
+def _plain_types(value):
+    """The set of types in a report, walked the way _sig6 walks it."""
+    found = {type(value)}
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            found |= _plain_types(v)
+    return found
+
+
+def test_every_report_holds_plain_python_values_before_it_is_rounded(capsys, monkeypatch, tmp_path):
+    # _sig6 rounds floats and nests containers only; a numpy value would reach json.dumps untouched.
+    seen = []
+    sig6 = cli._sig6
+    monkeypatch.setattr(cli, "_sig6", lambda value: seen.append(_plain_types(value)) or sig6(value))
+    argvs = [
+        *REUSE_ARGVS,
+        ["lp", "--fixture", "observer3", "--include-omega", "--output", str(tmp_path / "lp.csv")],
+        ["sample", "--fixture", "observer1", "--trials", "100", "--output", str(tmp_path / "sampled.csv")],
+        ["sweep", "--mode", "noise", "--n", "6", "--range", "0.2", "1.0", "3", "--out", str(tmp_path / "s.csv")],
+        ["sweep", "--mode", "anonymous", "--n", "9", "--range", "0.4", "1.5", "3"],
+    ]
+    assert {argv[0] for argv in argvs} == {"witness", "chain", "plan", "anonymous", "lp", "sample", "sweep", "verify"}
+    for argv in argvs:
+        assert run_cli(capsys, *argv)[0] == 0
+        assert set.union(*seen) <= PLAIN_TYPES, argv
+        seen.clear()
 
 
 def test_one_parser_serves_repeated_calls_in_a_process(capsys, monkeypatch):

@@ -549,6 +549,40 @@ def test_csv_rejects_duplicates(tmp_path):
             read_marginal_csv(path)
 
 
+N2_ROWS = [f"{x},{y},0.5" for x in ("00", "01", "10", "11") for y in (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "header,last,message",
+    [
+        ("x,y,p_win", "11,2", "row '11,2' has 2 fields, the header 3, in "),
+        ("x,y,p_win", "11,2,0.5,0.01", "row '11,2,0.5,0.01' has 4 fields, the header 3, in "),
+        ("x,y,p_win,sigma", "11,2,0.5", "row '11,2,0.5' has 3 fields, the header 4, in "),
+        ("x,y,p_win", "11,2,half", "p_win 'half' at x=11, y=2 is not a number in "),
+        ("x,y,p_win", "11,2,", "p_win '' at x=11, y=2 is not a number in "),
+        ("x,y,p_win", "11,2,0.2_5", "p_win '0.2_5' at x=11, y=2 is not a number in "),
+        ("x,y,p_win,sigma", "11,2,0.5,half", "sigma 'half' at x=11, y=2 is not a number in "),
+    ],
+    ids=["short-row", "long-row", "short-sigma-row", "half", "empty", "underscore", "sigma-half"],
+)
+def test_csv_refusal_names_the_row_and_the_file(tmp_path, header, last, message):
+    path = tmp_path / "t.csv"
+    extra = ",0.01" if header.endswith("sigma") else ""
+    path.write_text("\n".join([header, *(row + extra for row in N2_ROWS[:-1]), last]) + "\n")
+    with pytest.raises(ValueError) as refused:
+        read_marginal_csv(path)
+    assert str(refused.value) == message + str(path)
+
+
+def test_csv_header_is_the_first_line_and_blank_data_lines_are_skipped(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(["", "x,y,p_win", *N2_ROWS]) + "\n")
+    with pytest.raises(ValueError, match=r"expected header .* got \[\]$"):
+        read_marginal_csv(path)
+    path.write_text("\r\n".join(["x,y,p_win", "", *N2_ROWS[:3], "", "", *N2_ROWS[3:], ""]) + "\r\n")
+    assert read_marginal_csv(path).win.tobytes() == np.full((4, 2), 0.5).tobytes()
+
+
 def test_closed_form_witness_consistency():
     assert closed_form_witness(3, 1.0, 1.0) == pytest.approx(MAX_WITNESS_3)
     assert closed_form_witness(3, 0.0, 1.0) == 0.5

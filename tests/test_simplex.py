@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,9 +64,10 @@ def test_a_program_without_variables_is_refused_up_front(rhs):
         solve_lp([], np.zeros((1, 0)), [rhs])
 
 
-def test_matches_vertex_enumeration_on_random_bounded_instances():
-    rng = np.random.default_rng(123)
-    for _ in range(60):
+def _oracle_programs(seed, count):
+    """Programs built the way check_lp_oracle builds its instances."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         nvar = int(rng.integers(3, 7))
         extra = int(rng.integers(0, 3))
         feasible = rng.uniform(0.0, 1.0, size=nvar)
@@ -72,13 +75,57 @@ def test_matches_vertex_enumeration_on_random_bounded_instances():
         if feasible.sum() == 0.0:
             feasible[0] = 1.0
         a = np.vstack([np.ones(nvar)] + [rng.normal(size=nvar) for _ in range(extra)])
-        b = a @ feasible
-        c = rng.normal(size=nvar)
+        yield rng.normal(size=nvar), a, a @ feasible
+
+
+def test_matches_vertex_enumeration_on_random_bounded_instances():
+    for c, a, b in _oracle_programs(123, 60):
         result = solve_lp(c, a, b)
         ok, best = enumerate_vertex_optimum(c, a, b)
         assert ok and result.status == "optimal"
         assert result.objective == pytest.approx(best, abs=1e-9)
         assert result.residual <= 1e-9
+
+
+def _screened_vertex_optimum(c, a_eq, b_eq):
+    # The oracle as it was with a stacked matrix_rank screen ahead of the solves, kept as its reference.
+    c = np.asarray(c, dtype=float)
+    a = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b = np.asarray(b_eq, dtype=float).reshape(-1)
+    rank = np.linalg.matrix_rank(a)
+    combos = np.array(list(itertools.combinations(range(c.size), rank)), dtype=int)
+    full = np.linalg.matrix_rank(a[:, combos].transpose(1, 0, 2)) == rank
+    best = None
+    for cols in combos[full]:
+        xs, *_ = np.linalg.lstsq(a[:, cols], b, rcond=None)
+        x = np.zeros(c.size)
+        x[cols] = xs
+        if np.min(xs) < -1e-9 or np.max(np.abs(a @ x - b)) > 1e-9:
+            continue
+        value = float(c @ x)
+        if best is None or value > best:
+            best = value
+    return best is not None, best
+
+
+def _degenerate_programs(seed, count):
+    """A duplicated column and a row proportional to another, so some column choices are singular."""
+    for c, a, b in _oracle_programs(seed, count):
+        a = np.hstack([a, a[:, :1]])
+        c = np.append(c, c[0])
+        a = np.vstack([a, 2.5 * a[-1]])
+        yield c, a, np.append(b, 2.5 * b[-1])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_vertex_oracle_decides_each_basis_as_the_stacked_screen_did(seed):
+    for c, a, b in [*_oracle_programs(seed, 40), *_degenerate_programs(1000 + seed, 25)]:
+        assert enumerate_vertex_optimum(c, a, b) == _screened_vertex_optimum(c, a, b)
+
+
+def test_vertex_oracle_refuses_a_rank_zero_program():
+    with pytest.raises(ValueError):
+        enumerate_vertex_optimum([1.0, 2.0], [[0.0, 0.0]], [0.0])
 
 
 def test_degenerate_vertex_stack():
