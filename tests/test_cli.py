@@ -18,7 +18,7 @@ import seqcontext
 from seqcontext import cli, ensembles, equivalence_lp, selfcheck, sequence
 from seqcontext.cli import dispatch, fixture_path
 from seqcontext.sampling import sample_counts
-from seqcontext.operators import build_observables
+from seqcontext.operators import SIGMA_X, SIGMA_Z, build_observables
 from seqcontext.sequence import (
     MarginalTable,
     UnsharpSetting,
@@ -647,6 +647,27 @@ def test_povm_completeness_detail_matches_a_per_operator_reference():
                 worst = max(worst, float(np.max(np.abs(total - eye))))
     result = selfcheck.check_povm_completeness()
     assert result.ok and result.detail == f"max |sum K'K - 1| = {worst:.3e}"
+
+
+@pytest.mark.parametrize(
+    "family, detail",
+    [
+        # pairs (1, 2), (1, 3) and (2, 3) tie at |{X, X}| = 2: the first is named
+        ([SIGMA_X, SIGMA_X, SIGMA_X], "residual 2.000e+00 at pair (1, 2)"),
+        # (1, 3) and (2, 3) tie at sqrt(2), a row apart
+        ([SIGMA_X, SIGMA_Z, (SIGMA_X + SIGMA_Z) / np.sqrt(2.0)], "residual 1.414e+00 at pair (1, 3)"),
+        # (2, 3) at 3 beats the diagonal pair (3, 3) at 2.5 after it
+        ([SIGMA_Z, SIGMA_X, 1.5 * SIGMA_X], "residual 3.000e+00 at pair (2, 3)"),
+    ],
+    ids=["three-equal", "tilted-third", "scaled-third"],
+)
+def test_anticommutation_names_the_first_worst_pair(monkeypatch, family, detail):
+    def broken(n):
+        return np.array(family, dtype=complex) if n == 3 else build_observables(n)
+
+    monkeypatch.setattr(selfcheck, "build_observables", broken)
+    result = selfcheck.check_anticommutation()
+    assert not result.ok and result.detail == f"n=3: {detail}"
 
 
 def test_readme_library_example_runs():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,46 @@ def test_a_stack_of_any_shape_is_evolved_slice_by_slice(evolve):
     assert np.array_equal(out, np.array([[evolve(s, 0.6441, 4) for s in row] for row in stack]))
     empty = evolve(np.zeros((0, 2, 2), dtype=complex), 0.5, 3)
     assert empty.shape == (0, 2, 2) and empty.dtype == complex
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_a_stack_evolved_in_chunks_is_bit_equal_to_one_product(n, monkeypatch):
+    eta = 0.6441
+    states = build_ensemble(n, 0.83)
+    d = states.shape[-1]
+    stacks = [states, states.reshape(2, 2 ** (n - 1), d, d), states[:0]]
+    monkeypatch.setattr(sequence, "_PRODUCT_BYTES", 1 << 62)  # no bound: each stack in one product
+    whole = [sequence._evolve(stack, eta, n) for stack in stacks]
+    per_state = sequence._instrument(n, eta)[0].nbytes
+    for bound in (3, 3 * per_state):  # one state per chunk, then chunks of three with a shorter last one
+        monkeypatch.setattr(sequence, "_PRODUCT_BYTES", bound)
+        for stack, expected in zip(stacks, whole):
+            out = sequence._evolve(stack, eta, n)
+            assert out.shape == stack.shape and out.tobytes() == expected.tobytes()
+
+
+def test_a_large_stack_holds_at_most_two_bounded_products():
+    # Unbounded, the n = 9 ensemble's (512, 18, 16, 16) products would take 37.7 MB each (72 MiB at peak).
+    # Under the 1 MiB bound the peak is two chunk products plus what scales with the 2 MiB stack: the
+    # evolved output, or the state check's one shifted copy beside its factor. So 6 MiB, 6 times the bound.
+    states = build_ensemble(9, 0.7)
+    assert states.nbytes == 2 << 20
+    tracemalloc.start()
+    try:
+        evolve_average(states, 0.6, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 << 20
+
+
+def test_a_stack_under_the_bound_looks_its_instrument_up_once():
+    states = build_ensemble(6, 0.7)
+    assert len(states) * sequence._instrument(6, 0.5)[0].nbytes <= sequence._PRODUCT_BYTES  # 786 KB of product
+    sequence._instrument.cache_clear()
+    sequence._evolve(states, 0.5, 6)
+    info = sequence._instrument.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
 
 
 def _full_ensemble_visibility_detail(seed):
