@@ -18,8 +18,9 @@ import numpy as np
 from .operators import MAX_FLOAT_N, _require_int, _require_unit
 from .sequence import _quality_factor
 
-# Largest n of a critical chain: a chain has up to n steps and the dimension search runs one
-# per candidate n, so this bounds the time and report size of chain, plan and sweep.
+# Largest n of a critical chain: a chain has up to n steps and the dimension search runs at most three
+# chains, b - 1 ... b + 1 with b = ceil(m/q^2) (b - 1 and b from the exact sandwich, the + 1 for rounding),
+# so this bounds the time and report size of chain, plan and sweep.
 MAX_CHAIN_N = 1000
 
 
@@ -49,23 +50,20 @@ def critical_chain(n: int, q: float) -> ChainReport:
     v = float(q)
     etas: list[float] = []
     visibilities = [v]
-    # The loop always terminates: every saturating eta is >= 1/sqrt(n), which
-    # bounds the quality factor away from 1, so visibilities decay geometrically.
-    for _ in range(10 * n + 100):
-        required = 1.0 / (v * sqrt_n) if v > 0 else math.inf
-        if required > 1.0:
-            return ChainReport(
-                n=n,
-                q=float(q),
-                critical_etas=tuple(etas),
-                visibilities=tuple(visibilities),
-                violations=len(etas),
-                next_required_eta=required,
-            )
+    # The loop ends, in floats too: every saturating eta is >= 1/sqrt(n), so each step scales v by at most
+    # f(1/sqrt(n)) ~ 1 - 1/(2n), far above rounding, until v drops below 1/sqrt(n).
+    while (required := 1.0 / (v * sqrt_n) if v > 0 else math.inf) <= 1.0:
         etas.append(required)
         v *= _quality_factor(n, required)
         visibilities.append(v)
-    raise RuntimeError(f"critical chain for n={n}, q={q} failed to terminate")
+    return ChainReport(
+        n=n,
+        q=float(q),
+        critical_etas=tuple(etas),
+        visibilities=tuple(visibilities),
+        violations=len(etas),
+        next_required_eta=required,
+    )
 
 
 def max_shared_observers(n: int, q: float) -> int:
@@ -99,9 +97,11 @@ def min_dimension_parameter(m: int, q: float) -> DimensionPlan:
     A critical step at eta = 1/(v sqrt(n)), with u = 1 - sqrt(1 - eta^2), lowers v^2 by
     drop = (1 - f^2)/(n eta^2), and for every 0 < eta <= 1 exactly
     drop - (n-1)/n^2 = (n-1) u^2/(n^3 eta^2) > 0 and 1/n - drop = u (2 - u (2n-1)/n)/(n^2 eta^2) > 0.
-    So n serves at least floor(n q^2) and fewer than (n+1) q^2 observers: ceil(m/q^2) always
-    suffices and no n <= m/q^2 - 1 does. The scan starts one n below that window, a margin for
-    rounding. Refuses m and q whose ceil(m/q^2) is above ``MAX_CHAIN_N``.
+    So, exactly, n serves at least floor(n q^2) and fewer than (n+1) q^2 observers: b = max(2, ceil(m/q^2))
+    suffices and no n <= m/q^2 - 1 does, so the answer is b - 1 or b. The search builds at most three chains,
+    b - 1 ... b + 1: the + 1, measured rather than proven, absorbs the chain's own rounding where n q^2 is within
+    rounding of m (m = 1, q = 0.5773502691896257 needs n = 4 with b = 3), and a miss raises RuntimeError.
+    Refuses m and q whose ceil(m/q^2) is above ``MAX_CHAIN_N``.
     """
     _require_int(m, "m", 1)
     if not _require_unit(q, "visibility q"):  # q = 0 serves no observer
@@ -112,21 +112,18 @@ def min_dimension_parameter(m: int, q: float) -> DimensionPlan:
 
     bound_linear = math.ceil(m / q)
     bound_squared = math.ceil(m / (q * q))
-    cap = min(max(2, bound_squared) + 1, MAX_CHAIN_N)
-    n_found = None
-    for n in range(max(2, bound_squared - 2), cap + 1):
+    b = max(2, bound_squared)
+    for n in range(max(2, b - 1), b + 2):
         if max_shared_observers(n, q) >= m:
-            n_found = n
             break
-    if n_found is None:
-        raise RuntimeError(f"no n up to {cap} serves m={m} at q={q}; recursion bound violated")
-    achievable = max(2, bound_linear) >= n_found
+    else:
+        raise RuntimeError(f"no n in {max(2, b - 1)}..{b + 1} serves m={m} at q={q}; recursion bound violated")
     return DimensionPlan(
         m=m,
         q=float(q),
-        n=n_found,
+        n=n,
         bound_from_q=bound_linear,
-        bound_from_q_sufficient=achievable,
+        bound_from_q_sufficient=max(2, bound_linear) >= n,
         bound_from_q_squared=bound_squared,
     )
 

@@ -19,6 +19,7 @@ from seqcontext import cli, ensembles, equivalence_lp, selfcheck, sequence
 from seqcontext.cli import dispatch, fixture_path
 from seqcontext.sampling import sample_counts
 from seqcontext.operators import SIGMA_X, SIGMA_Z, build_observables
+from seqcontext.planner import ChainReport
 from seqcontext.sequence import (
     MarginalTable,
     UnsharpSetting,
@@ -668,6 +669,34 @@ def test_anticommutation_names_the_first_worst_pair(monkeypatch, family, detail)
     monkeypatch.setattr(selfcheck, "build_observables", broken)
     result = selfcheck.check_anticommutation()
     assert not result.ok and result.detail == f"n=3: {detail}"
+
+
+@pytest.mark.parametrize(
+    "edge, inside, ok",
+    [("lower", 5e-13, False), ("upper", 5e-13, False), ("lower", 5e-12, True), ("upper", 5e-12, True)],
+)
+def test_sandwich_check_refuses_a_drop_within_5e_13_of_its_bound(monkeypatch, edge, inside, ok):
+    # A one-step chain per n whose squared-visibility drop lies `inside` within (n-1)/n^2 or 1/n.
+    def chain(n, q):
+        drop = (n - 1) / n**2 + inside if edge == "lower" else 1.0 / n - inside
+        visibilities = (1.0, (1.0 - drop) ** 0.5)
+        return ChainReport(n, q, critical_etas=(1.0,), visibilities=visibilities, violations=1, next_required_eta=2.0)
+
+    monkeypatch.setattr(selfcheck, "critical_chain", chain)
+    result = selfcheck.check_sandwich()
+    assert result.ok is ok
+    assert ok or result.detail.startswith("n=2, step 1: drop")
+
+
+@pytest.mark.parametrize("defect, ok", [(1e-10, False), (1e-11, True)])
+def test_visibility_check_scales_its_basis_residual_by_2n_minus_1(monkeypatch, defect, ok):
+    # A channel off by `defect` in every entry leaves a raw residual of 5 defects after n = 6's five evolves:
+    # under 1e-9 for both, but 11 times it is above 1e-9 only for the larger.
+    evolve = selfcheck._evolve
+    monkeypatch.setattr(selfcheck, "_evolve", lambda states, eta, n: evolve(states, eta, n) + defect)
+    result = selfcheck.check_visibility_lemma()
+    assert float(result.detail.rpartition("= ")[2]) < 1e-9
+    assert result.ok is ok
 
 
 def test_readme_library_example_runs():

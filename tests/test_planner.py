@@ -320,7 +320,13 @@ def _first_serving(m, q):
     return next(n for n in range(2, MAX_CHAIN_N + 1) if len(_loop_chain(n, q)[0]) >= m)
 
 
-@pytest.mark.parametrize("m, q", [(1, 0.8), (2, 0.7), (3, 0.9), (2, 0.35), (2, 0.5), (40, 0.7), (100, 1.0), (7, 0.2)])
+@pytest.mark.parametrize(
+    "m, q",
+    [(1, 0.8), (2, 0.7), (3, 0.9), (2, 0.35), (2, 0.5), (40, 0.7), (100, 1.0), (7, 0.2)]
+    # these need b + 1, with b = ceil(m/q^2): n = 4 with b = 3, and n = 74 with b = 73, where n q q rounds to
+    # 1.0000000000000002 at n = 73 yet that chain serves no observer
+    + [(1, 0.5773502691896257), (1, 0.11704114719613057)],
+)
 def test_min_dimension_parameter_matches_the_plain_loop(m, q):
     assert min_dimension_parameter(m, q).n == _first_serving(m, q)
 
@@ -334,8 +340,23 @@ def _seeded_pairs():
     return pairs
 
 
+def _near_integer_pairs():
+    # q = sqrt(m/k) and its 1..4-ulp neighbours for k <= 30, where m/q^2 lies within rounding of the integer k
+    pairs = []
+    for k in range(2, 31):
+        for m in range(1, k + 1):
+            below = above = math.sqrt(m / k)
+            pairs.append((m, below))
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+                pairs.append((m, below))
+                if above <= 1.0:
+                    pairs.append((m, above))
+    return pairs
+
+
 def test_min_dimension_parameter_window_matches_the_full_scan():
-    for m, q in [*_seeded_pairs(), (1000, 1.0), (600, 0.8)]:
+    for m, q in [*_seeded_pairs(), *_near_integer_pairs(), (1000, 1.0), (600, 0.8)]:
         assert min_dimension_parameter(m, q).n == _first_serving(m, q), (m, q)
 
 
