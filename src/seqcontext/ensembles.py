@@ -71,15 +71,20 @@ def build_preparation(n: int, x: str, q: float) -> np.ndarray:
 
 
 def _signed_sum(signs: np.ndarray, family: np.ndarray) -> np.ndarray:
-    """A_x = n^(-1/2) sum_y signs[..., y] G_y for (..., n) signs: one reduce adds the signed
-    observables in setting order from +0, as a running sum would, so a stack's slices are bit-equal."""
-    return np.add.reduce(signs[..., None, None] * family, axis=-3, initial=0) / np.sqrt(len(family))
+    """A_x = n^(-1/2) sum_y signs[y] G_y: one reduce adds the signed observables in setting order from +0,
+    as a running sum would."""
+    return np.add.reduce(signs[:, None, None] * family, axis=0, initial=0) / np.sqrt(len(family))
 
 
 @lru_cache(maxsize=1)  # one n at a time: build_ensemble's callers visit each n in turn
 def _signed_sums(n: int) -> np.ndarray:
-    """Read-only (2^n, dim, dim) stack of every A_x, in binary order of x."""
-    acc = _signed_sum(setting_signs(n).T, build_observables(n))
+    """Read-only (2^n, dim, dim) stack of every A_x, in binary order of x: the running sum that
+    ``_signed_sum`` rounds like, kept in place so no (2^n, n, dim, dim) product is ever held."""
+    family = build_observables(n)
+    acc = np.zeros((2**n, *family.shape[1:]), dtype=complex)
+    for sign, g in zip(setting_signs(n), family):
+        acc += sign[:, None, None] * g
+    acc /= np.sqrt(n)
     acc.setflags(write=False)
     return acc
 

@@ -39,8 +39,8 @@ def identity(dim: int) -> np.ndarray:
 
 def _as_square(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"matrix must be a (..., d, d) array, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be a (d, d) array, got shape {m.shape}")
     return m
 
 
@@ -78,22 +78,20 @@ STATE_TOL = 1e-8  # is_density_matrix's one tolerance: on |tr - 1|, the Hermitia
 def is_density_matrix(matrix) -> bool:
     """Trace 1, Hermitian and positive semidefinite, each to ``STATE_TOL``; NaN fails.
 
-    Takes one d x d matrix or a (..., d, d) stack, and holds only when every slice passes. A Cholesky
-    factorisation of m + (STATE_TOL/2) 1 screens for positivity first. It is backward stable, so its
-    success proves lambda_min > -STATE_TOL/2 - O(d u |m|), above -STATE_TOL for any matrix of modest
-    norm such as a density matrix; when it fails, eigvalsh decides.
+    Takes one d x d matrix. A Cholesky factorisation of m + (STATE_TOL/2) 1 screens for positivity
+    first. It is backward stable, so its success proves lambda_min > -STATE_TOL/2 - O(d u |m|), above
+    -STATE_TOL for any matrix of modest norm such as a density matrix; when it fails, eigvalsh decides.
     """
     m = _as_square(matrix)
-    error = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
-    if (error if m.ndim == 2 else error.max(initial=0.0)) > STATE_TOL:  # .max on one scalar is a full reduction
+    if abs(m.trace() - 1.0) > STATE_TOL:  # a d = 0 matrix fails here, before .max() meets no entries
         return False
-    if not abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= STATE_TOL:
+    if not abs(m - m.conj().T).max() <= STATE_TOL:
         return False
     try:
-        np.linalg.cholesky(m + _shift(m.shape[-1]))
+        np.linalg.cholesky(m + _shift(len(m)))
         return True
     except np.linalg.LinAlgError:
-        return bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -STATE_TOL)
+        return bool(np.linalg.eigvalsh(m).min() >= -STATE_TOL)
 
 
 @lru_cache(maxsize=32)  # the screen's read-only shift (STATE_TOL/2) 1, made once per dim

@@ -87,12 +87,6 @@ def _instrument(n: int, eta) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.nda
     return kraus.reshape(2 * n, *g.shape[-2:]), tuple(map(tuple, povm))
 
 
-# Largest (S, 2n, d, d) Kraus product one `_evolve` call holds; a larger stack goes in chunks under it. Sized by
-# timing whole-ensemble evolves: at 1 MiB they beat slice by slice at n = 7 and 9 and tied within the spread at
-# n = 11, where one unbounded product ran 1.6x slower and held 0.7 GiB. Every `verify` stack fits in one product.
-_PRODUCT_BYTES = 1 << 20
-
-
 def _require_dim(shape: tuple, n: int) -> None:
     """ValueError unless shape is n's (2^(n // 2), 2^(n // 2)): O(1), run before n's instrument is built.
     The shift stops at 2^63, which no numpy axis reaches, so a huge n costs nothing."""
@@ -104,28 +98,21 @@ def _require_dim(shape: tuple, n: int) -> None:
 def evolve_average(state: np.ndarray, eta: float, n: int) -> np.ndarray:
     """Average post-measurement state over a uniform setting choice and both outcomes.
 
-    Input must be a density matrix or a (..., dim, dim) stack of them, each slice
-    evolved exactly as alone; the channel is trace preserving and unital.
+    Input must be one (dim, dim) density matrix; the channel is trace preserving and unital.
     """
     _require_int(n)  # both before the caches hash them: a list would raise TypeError there
     _require_unit(eta, "sharpness eta")
     state = np.asarray(state, dtype=complex)
-    _require_dim(state.shape[-2:], n)  # a stack passes when each of its states meets n
+    _require_dim(state.shape, n)  # one state, as marginal_probability takes
     if not is_density_matrix(state):
         raise ValueError("evolve_average requires a density matrix input")
     return _evolve(state, eta, n)
 
 
 def _evolve(state: np.ndarray, eta: float, n: int) -> np.ndarray:
-    """``evolve_average`` without its density-matrix check, for complex states the caller built itself."""
+    """``evolve_average`` without its density-matrix check, for complex states the caller built itself: one
+    state or a small (..., dim, dim) stack, whose 2n Kraus products per state are all held at once."""
     kraus = _instrument(n, eta)[0]
-    per = max(1, _PRODUCT_BYTES // kraus.nbytes)  # states whose (per, 2n, d, d) product stays under the bound
-    if state.ndim > 2 and math.prod(state.shape[:-2]) > per:  # evolve the flattened stack in consecutive chunks
-        flat = state.reshape(-1, *state.shape[-2:])
-        out = np.empty_like(flat)
-        for i in range(0, len(flat), per):
-            out[i : i + per] = _evolve(flat[i : i + per], eta, n)
-        return out.reshape(state.shape)
     # Every K is Hermitian entry for entry, so K itself is the right factor K^dagger. Two broadcast
     # matmuls, each one (d, d) GEMM per (state, K) pair, as for a state alone, then one reduce that
     # adds each state's 2n terms in (y, b) order from +0, as a running sum would.

@@ -18,7 +18,7 @@ import seqcontext
 from seqcontext import cli, ensembles, equivalence_lp, selfcheck, sequence
 from seqcontext.cli import dispatch, fixture_path
 from seqcontext.sampling import sample_counts
-from seqcontext.operators import SIGMA_X, SIGMA_Z, build_observables
+from seqcontext.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, build_observables
 from seqcontext.planner import ChainReport
 from seqcontext.sequence import (
     MarginalTable,
@@ -669,6 +669,31 @@ def test_anticommutation_names_the_first_worst_pair(monkeypatch, family, detail)
     monkeypatch.setattr(selfcheck, "build_observables", broken)
     result = selfcheck.check_anticommutation()
     assert not result.ok and result.detail == f"n=3: {detail}"
+
+
+@pytest.mark.parametrize("off, ok", [(2.5e-13, True), (1e-12, False)])
+def test_anticommutation_check_refuses_a_residual_of_2e_12(monkeypatch, off, ok):
+    # {X, Z + off X} = 2 off 1, so the n = 3 residual is 5e-13 (within 1e-12) or 2e-12 (past it) at pair (1, 3).
+    family = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z + off * SIGMA_X])
+    monkeypatch.setattr(selfcheck, "build_observables", lambda n: family if n == 3 else build_observables(n))
+    result = selfcheck.check_anticommutation()
+    assert result.ok is ok
+    assert result.detail.endswith("max residual 5.000e-13" if ok else "n=3: residual 2.000e-12 at pair (1, 3)")
+
+
+@pytest.mark.parametrize("off, ok", [(5e-10, True), (2e-9, False)])
+def test_lp_oracle_check_refuses_a_simplex_objective_off_by_2e_9(monkeypatch, off, ok):
+    # Every simplex optimum moved by `off`: 5e-10 is within the 1e-9 gap the check allows, 2e-9 is not.
+    solve = selfcheck.solve_lp
+
+    def shifted(*program):
+        solved = solve(*program)
+        return dataclasses.replace(solved, objective=solved.objective + off)
+
+    monkeypatch.setattr(selfcheck, "solve_lp", shifted)
+    result = selfcheck.check_lp_oracle()
+    assert result.ok is ok
+    assert ok or result.detail.startswith("instance 0: simplex")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from seqcontext import ensembles
+from seqcontext import ensembles, sequence
 from seqcontext.ensembles import (
     all_bit_strings,
     build_ensemble,
@@ -12,7 +14,6 @@ from seqcontext.ensembles import (
     setting_signs,
 )
 from seqcontext.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, build_observables, identity
-from seqcontext.sequence import evolve_average
 
 SQRT3 = np.sqrt(3.0)
 
@@ -59,6 +60,20 @@ def test_build_ensemble_stack_is_bit_equal_to_build_preparation(n):
         stack = build_ensemble(n, q)
         assert stack.shape == (2**n, 2 ** (n // 2), 2 ** (n // 2))
         assert np.array_equal(stack, np.array([build_preparation(n, x, q) for x in all_bit_strings(n)]))
+
+
+def test_a_cold_build_ensemble_holds_at_most_four_times_its_result():
+    # The signed sums are added in place, setting by setting: the peak is the cached sums, one signed
+    # observable stack and build_ensemble's two temporaries, each the 2 MiB of the n = 9 result.
+    ensembles._signed_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        states = build_ensemble(9, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.nbytes == 2 << 20
+    assert peak <= 4 * states.nbytes
 
 
 def test_build_ensemble_is_bit_equal_to_build_preparation_with_its_cache_cold_and_warm():
@@ -278,17 +293,17 @@ def per_state_equivalence(states):
 def test_operational_equivalence_matches_the_per_state_loop(n):
     rng = np.random.default_rng(20261018 + n)
     cases = []
-    for _ in range(10):
-        evolved = evolve_average(build_ensemble(n, rng.uniform(0.0, 1.0)), rng.uniform(0.0, 1.0), n)
+    for size in [*rng.uniform(-1e-3, 1e-3, size=10), 5e-11, 2e-10]:  # the last two straddle EQUIVALENCE_TOL = 1e-10
+        evolved = sequence._evolve(build_ensemble(n, rng.uniform(0.0, 1.0)), rng.uniform(0.0, 1.0), n)
         cases.append(evolved)
         tampered = evolved.copy()
         x = rng.integers(2**n)
-        tampered[x] = tampered[x] + rng.uniform(-1e-3, 1e-3) * build_observables(n)[rng.integers(n)]
+        tampered[x] = tampered[x] + size * build_observables(n)[rng.integers(n)]  # moves each parity by |size|
         cases.append(tampered)
     reports = [check_operational_equivalence(states) for states in cases]
     for states, report in zip(cases, reports):
         assert (report.worst_r, report.residual) == per_state_equivalence(states)
-    assert [report.passed for report in reports] == [True, False] * 10
+    assert [report.passed for report in reports] == [True, False] * 10 + [True, True, True, False]
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 6])

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -159,11 +157,12 @@ def test_evolve_average_rejects_non_density_input():
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_stacked_evolve_average_is_bit_equal_to_the_per_state_loop(n):
+    # verify evolves its stacks through the unchecked core; each slice must equal evolve_average on that state
     states = build_ensemble(n, 0.83)
     for etas in ([0.6441], [0.37, 0.91]):
         stack, singles = states, list(states)
         for eta in etas:
-            stack = evolve_average(stack, eta, n)
+            stack = sequence._evolve(stack, eta, n)
             singles = [evolve_average(rho, eta, n) for rho in singles]
             assert np.array_equal(stack, np.array(singles))
 
@@ -188,7 +187,7 @@ def _explicit_kraus_sums(n):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_stacked_evolve_average_is_byte_equal_to_an_explicit_kraus_sum(n):
     for eta, states, expected in _explicit_kraus_sums(n):
-        assert evolve_average(states, eta, n).tobytes() == expected.tobytes()
+        assert sequence._evolve(states, eta, n).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -205,57 +204,27 @@ def test_unchecked_evolve_core_is_byte_equal_to_evolve_average(n):
     for q in (1.0, 0.83):
         states = build_ensemble(n, q)
         for eta in (0.0, 0.37, 0.6441, 1.0, seeded):
-            core, public = sequence._evolve(states, eta, n), evolve_average(states, eta, n)
+            core, public = sequence._evolve(states, eta, n), np.array([evolve_average(s, eta, n) for s in states])
             assert core.tobytes() == public.tobytes()
-            assert sequence._evolve(core, eta, n).tobytes() == evolve_average(public, eta, n).tobytes()
+            again = np.array([evolve_average(s, eta, n) for s in public])
+            assert sequence._evolve(core, eta, n).tobytes() == again.tobytes()
             for ix in (0, len(states) - 1):
                 assert sequence._evolve(states[ix], eta, n).tobytes() == evolve_average(states[ix], eta, n).tobytes()
 
 
 @pytest.mark.parametrize("evolve", [evolve_average, sequence._evolve], ids=["evolve_average", "_evolve"])
 def test_a_stack_of_any_shape_is_evolved_slice_by_slice(evolve):
+    # the stack goes through the unchecked core, each slice through `evolve` alone
     stack = build_ensemble(4, 0.83).reshape(4, 4, 4, 4)  # n = 4 states are 4 x 4
-    out = evolve(stack, 0.6441, 4)
+    out = sequence._evolve(stack, 0.6441, 4)
     assert out.shape == stack.shape
     assert np.array_equal(out, np.array([[evolve(s, 0.6441, 4) for s in row] for row in stack]))
-    empty = evolve(np.zeros((0, 2, 2), dtype=complex), 0.5, 3)
+    empty = sequence._evolve(np.zeros((0, 2, 2), dtype=complex), 0.5, 3)
     assert empty.shape == (0, 2, 2) and empty.dtype == complex
 
 
-@pytest.mark.parametrize("n", range(2, 10))
-def test_a_stack_evolved_in_chunks_is_bit_equal_to_one_product(n, monkeypatch):
-    eta = 0.6441
-    states = build_ensemble(n, 0.83)
-    d = states.shape[-1]
-    stacks = [states, states.reshape(2, 2 ** (n - 1), d, d), states[:0]]
-    monkeypatch.setattr(sequence, "_PRODUCT_BYTES", 1 << 62)  # no bound: each stack in one product
-    whole = [sequence._evolve(stack, eta, n) for stack in stacks]
-    per_state = sequence._instrument(n, eta)[0].nbytes
-    for bound in (3, 3 * per_state):  # one state per chunk, then chunks of three with a shorter last one
-        monkeypatch.setattr(sequence, "_PRODUCT_BYTES", bound)
-        for stack, expected in zip(stacks, whole):
-            out = sequence._evolve(stack, eta, n)
-            assert out.shape == stack.shape and out.tobytes() == expected.tobytes()
-
-
-def test_a_large_stack_holds_at_most_two_bounded_products():
-    # Unbounded, the n = 9 ensemble's (512, 18, 16, 16) products would take 37.7 MB each (72 MiB at peak).
-    # Under the 1 MiB bound the peak is two chunk products plus what scales with the 2 MiB stack: the
-    # evolved output, or the state check's one shifted copy beside its factor. So 6 MiB, 6 times the bound.
-    states = build_ensemble(9, 0.7)
-    assert states.nbytes == 2 << 20
-    tracemalloc.start()
-    try:
-        evolve_average(states, 0.6, 9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 << 20
-
-
 def test_a_stack_under_the_bound_looks_its_instrument_up_once():
-    states = build_ensemble(6, 0.7)
-    assert len(states) * sequence._instrument(6, 0.5)[0].nbytes <= sequence._PRODUCT_BYTES  # 786 KB of product
+    states = build_ensemble(6, 0.7)  # 64 states in one 786 KB product
     sequence._instrument.cache_clear()
     sequence._evolve(states, 0.5, 6)
     info = sequence._instrument.cache_info()
@@ -303,7 +272,7 @@ def test_evolved_states_are_the_affine_combination_of_the_evolved_basis(n):
         for eta in rng.uniform(0.0, 1.0, size=n):
             combined = np.tensordot(weights, states[basis], axes=1)
             assert np.max(np.abs(states - combined)) <= 1e-14
-            states = evolve_average(states, float(eta), n)
+            states = sequence._evolve(states, float(eta), n)
 
 
 def _with_bad_slice(kind):
@@ -319,12 +288,25 @@ def _with_bad_slice(kind):
 
 @pytest.mark.parametrize("kind", ["trace-2", "non-hermitian", "negative-eigenvalue"])
 def test_one_bad_slice_fails_the_whole_stack(kind):
+    # state by state, as run_sequence evolves: every other slice passes, and the loop stops at the bad one
     stack = _with_bad_slice(kind)
-    assert is_density_matrix(np.delete(stack, 5, axis=0))
+    assert all(is_density_matrix(s) for s in np.delete(stack, 5, axis=0))
     assert not is_density_matrix(stack[5])
-    assert not is_density_matrix(stack)
     with pytest.raises(ValueError, match="density matrix"):
+        for s in stack:
+            evolve_average(s, 0.5, 3)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (0, 2, 2), (1, 1, 2, 2)])
+def test_the_one_state_routes_refuse_a_stack(shape):
+    stack = np.broadcast_to(identity(2) / 2, shape)  # every slice a valid n = 3 state
+    one_state = r"n=3 acts on 2\^1 x 2\^1 states, got a state of shape"
+    with pytest.raises(ValueError, match=one_state):
         evolve_average(stack, 0.5, 3)
+    with pytest.raises(ValueError, match=one_state):
+        marginal_probability(stack, UnsharpSetting(n=3, y=1, b=0, eta=0.5))
+    with pytest.raises(ValueError, match=r"must be a \(d, d\) array"):
+        is_density_matrix(stack)
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 3)])
@@ -363,6 +345,11 @@ def test_marginal_probability_values():
     assert unsharp == pytest.approx(0.685935654192519, abs=1e-12)
     mix = identity(2) / 2
     assert marginal_probability(mix, UnsharpSetting(n=3, y=2, b=1, eta=0.4)) == pytest.approx(0.5)
+    # p = Tr(s (1 + X) / 2) = s for s times the +1 eigenprojector of X: 5e-11 over 1 is clipped, 2e-10 over is refused
+    plus, sharp_x = np.full((2, 2), 0.5), UnsharpSetting(n=3, y=1, b=0, eta=1.0)
+    assert marginal_probability((1 + 5e-11) * plus, sharp_x) == 1.0
+    with pytest.raises(ValueError, match="outside"):
+        marginal_probability((1 + 2e-10) * plus, sharp_x)
 
 
 def test_marginal_outcomes_sum_to_one():
@@ -465,6 +452,10 @@ def test_marginal_table_validation():
         MarginalTable(n=2, win=np.full((4, 2), np.nan))
     with pytest.raises(ValueError):
         MarginalTable(n=2, win=np.full((4, 2), 1.7))
+    # entries within 1e-12 of [0, 1] are kept; 2e-12 outside is refused
+    assert MarginalTable(n=2, win=np.full((4, 2), -5e-13)).win.min() == -5e-13
+    with pytest.raises(ValueError, match="within 1e-12"):
+        MarginalTable(n=2, win=np.full((4, 2), -2e-12))
 
 
 def test_run_sequence_reproduces_experimental_chain():
