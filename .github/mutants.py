@@ -36,6 +36,26 @@ MUTANTS = [
     ("sequence.py", "_require_dim(state.shape, n)", "_require_dim(state.shape[-2:], n)", "caught"),
     # the dimension search's b + 1, which absorbs the critical chain's rounding
     ("planner.py", "range(max(2, b - 1), b + 2)", "range(max(2, b - 1), b + 1)", "caught"),
+    # the anonymous optimum's grid edge
+    ("planner.py", "lo = math.asin(1.0 / math.sqrt(n)) + 1e-9", "lo = math.asin(1.0 / math.sqrt(n)) + 1e-3", "caught"),
+    # the simplex: ratio ties, reinversion, the final x >= 0 guard and Bland's tie-break
+    ("simplex.py", "_RATIO_TIE_TOL = 1e-12", "_RATIO_TIE_TOL = 1e-6", "caught"),
+    ("simplex.py", "_REFRESH_INTERVAL = 60", "_REFRESH_INTERVAL = 6000", "caught"),
+    ("simplex.py", "if x.min() < -1e-7:", "if x.min() < -1e-1:", "caught"),
+    ("simplex.py", "basis[i] < basis[leave]", "basis[i] > basis[leave]", "caught"),
+    ("equivalence_lp.py", "PRIMARY_OBJECTIVE_SLACK = 1e-9", "PRIMARY_OBJECTIVE_SLACK = 1e-7", "caught"),
+    # the vertex oracle's rank cut: a basis with condition number about 2e4 must count as one
+    ("selfcheck.py", "lstsq(a[:, cols], b, rcond=None)", "lstsq(a[:, cols], b, rcond=1e-3)", "caught"),
+    # the state check: the Cholesky shift and the Hermitian defect
+    ("operators.py", "_frozen((STATE_TOL / 2) * np.eye(dim))", "_frozen((STATE_TOL * 2) * np.eye(dim))", "caught"),
+    ("operators.py", "abs(m - m.conj().T)", "abs(m - m.T)", "caught"),
+    # the instrument: the outcome sign, the read-only Kraus stack and the clip of p to [0, 1]
+    ("sequence.py", "np.array([1.0, -1.0])[:, None, None]", "np.array([-1.0, 1.0])[:, None, None]", "caught"),
+    ("sequence.py", "kraus.setflags(write=False)", "kraus.setflags(write=True)", "caught"),
+    ("sequence.py", "return min(max(p, 0.0), 1.0)", "return p", "caught"),
+    ("sampling.py", "np.clip(table.win, 0.0, 1.0)", "table.win", "caught"),
+    ("ensembles.py", "if residual > worst or not worst_r:", "if residual > worst:", "caught"),
+    ("cli.py", "SWEEP_MAX_POINTS = 10_000", "SWEEP_MAX_POINTS = 100_000", "caught"),
     # guards that only a wrong LP solve reaches; an optimality certificate would give them a test path
     ("equivalence_lp.py", "PARITY_RESIDUAL_TOL = 1e-8", "PARITY_RESIDUAL_TOL = 1e-2", "survived"),
     ("equivalence_lp.py", "omega.min() < -1e-12 or row_error > 1e-9", "omega.min() < -1e-2 or row_error > 1e-2", "survived"),

@@ -5,6 +5,7 @@ lines. Tolerances are pinned here, except in criteria 2 and 4: they run
 ``verify``'s own checks, at the tolerances that ``selfcheck`` pins.
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -126,3 +127,5 @@ def test_criterion_10_property_suite_and_verify(capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert '"all_ok": true' in out
+        names = {check["name"] for check in json.loads(out)["results"]["checks"]}
+        assert {"anticommutation", "visibility_lemma", "visibility_sandwich", "lp_vertex_oracle"} <= names

@@ -592,14 +592,6 @@ def test_a_pre_equals_mean_of_entries():
         assert witness(table) == pytest.approx(float(np.mean(table.win)), abs=1e-12)
 
 
-def test_verify_command(capsys):
-    code, report = run_json(capsys, "verify")
-    assert code == 0
-    assert report["results"]["all_ok"] is True
-    names = {check["name"] for check in report["results"]["checks"]}
-    assert {"anticommutation", "visibility_lemma", "visibility_sandwich", "lp_vertex_oracle"} <= names
-
-
 def test_a_failing_verify_check_prints_the_full_report_and_exits_3(capsys, monkeypatch):
     checks = selfcheck.run_all()
     checks[1] = dataclasses.replace(checks[1], ok=False)

@@ -97,17 +97,6 @@ def test_build_observables_returns_the_cached_set():
     assert build_observables(5) is build_observables(5)
 
 
-def test_predicates_hold_on_a_stack_only_when_every_slice_does():
-    # The check takes one matrix: each slice is decided alone, and a stack is refused whatever its slices hold.
-    stack = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2, np.diag([1.5, -0.5])])
-    assert [is_density_matrix(m) for m in stack] == [True, True, False]
-    stack[1, 0, 1] = 0.5
-    assert not is_density_matrix(stack[1])
-    for not_one in (stack, stack[:1], stack[:0], stack[None, :1]):
-        with pytest.raises(ValueError, match=r"must be a \(d, d\) array"):
-            is_density_matrix(not_one)
-
-
 def test_predicates_on_non_examples():
     assert not is_density_matrix(np.array([[0.5, 1], [0, 0.5]]))  # not Hermitian
     assert not is_density_matrix(np.diag([2.0, -1.0]))  # an eigenvalue below -STATE_TOL
@@ -119,7 +108,7 @@ def test_predicates_on_non_examples():
 
 def test_tensor_product_rejects_nonsquare():
     # the state check takes one (d, d) matrix and rejects anything else
-    for not_square in (np.ones((2, 3)), np.ones(4), np.ones((5, 2, 3))):
+    for not_square in (np.ones((2, 3)), np.ones(4), np.ones((5, 2, 3)), np.ones((1, 2, 2))):
         with pytest.raises(ValueError, match="must be a"):
             is_density_matrix(not_square)
 
@@ -128,9 +117,9 @@ def _eigvalsh_decision(m):
     # The rule the Cholesky screen must reproduce: trace and Hermitian defect, then the smallest eigenvalue alone.
     m = np.asarray(m, dtype=complex)
     return bool(
-        abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= STATE_TOL
-        and abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= STATE_TOL
-        and np.linalg.eigvalsh(m).min(initial=np.inf) >= -STATE_TOL
+        abs(m.trace() - 1.0) <= STATE_TOL
+        and abs(m - m.conj().T).max() <= STATE_TOL
+        and np.linalg.eigvalsh(m).min() >= -STATE_TOL
     )
 
 
@@ -157,48 +146,6 @@ def test_cholesky_screen_decides_like_eigvalsh(d, scale, f):
     assert decisions == [_eigvalsh_decision(m) for m in matrices]
     if f in (0.5, 0.999, 1.001, 2.0):  # far enough from -STATE_TOL that rounding cannot flip the answer
         assert decisions == [f * scale < STATE_TOL] * len(matrices)
-
-
-def test_cholesky_screen_on_stacks_singular_matrices_and_nan():
-    rng = np.random.default_rng(5)
-    # the stacks are decided slice by slice, as the check takes one matrix
-    good = np.stack([_with_smallest_eigenvalue(rng, 4, 0.0) for _ in range(8)])
-    assert all(is_density_matrix(m) for m in good)
-    bad = _with_smallest_eigenvalue(rng, 4, -2 * STATE_TOL)
-    assert not is_density_matrix(bad) and not _eigvalsh_decision(bad)
-    # exact and rounded singular states pass, as eigvalsh says
-    for m in (np.diag([1.0, 0.0]), good[0]):
-        assert is_density_matrix(m) and _eigvalsh_decision(m)
-    nan = good.copy()
-    nan[2, 1, 1] = np.nan
-    assert [is_density_matrix(m) for m in nan] == [True, True, False, True, True, True, True, True]
-
-
-# The state check and the two predicates it called, as they read with a tol argument:
-# the reference for the decision test below, called at tol = STATE_TOL.
-def _old_is_hermitian(matrix, tol=1e-12):
-    m = np.asarray(matrix, dtype=complex)
-    return bool(abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= tol)
-
-
-def _old_is_positive_semidefinite(matrix, tol=1e-10):
-    m = np.asarray(matrix, dtype=complex)
-    if not _old_is_hermitian(m, max(tol, 1e-12)):
-        return False
-    if tol > 0:
-        try:
-            np.linalg.cholesky(m + (tol / 2) * np.eye(m.shape[-1]))
-            return True
-        except np.linalg.LinAlgError:
-            pass
-    return bool(np.linalg.eigvalsh(m).min(initial=np.inf) >= -tol)
-
-
-def _old_is_density_matrix(matrix, tol=1e-10):
-    m = np.asarray(matrix, dtype=complex)
-    if abs(m.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) > tol:
-        return False
-    return _old_is_positive_semidefinite(m, tol)
 
 
 def _boundary_cases(d, scale, rng):
@@ -236,12 +183,7 @@ def _boundary_cases(d, scale, rng):
 def test_predicates_decide_as_before_on_single_matrices_and_stacks(d, scale):
     cases = _boundary_cases(d, scale, np.random.default_rng(20261019 + d))
     for m in cases:
-        assert is_density_matrix(m) == _old_is_density_matrix(m, STATE_TOL) == _eigvalsh_decision(m)
-    # the old check also took stacks; the one-matrix check refuses each of them
-    stack = np.stack(cases)
-    for not_one in (stack, stack[:0], np.stack([np.eye(d) / d, cases[-1]]), cases[-1][None, None]):
-        with pytest.raises(ValueError, match=r"must be a \(d, d\) array"):
-            is_density_matrix(not_one)
+        assert is_density_matrix(m) == _eigvalsh_decision(m)
     # After cases[0], each f adds 9 cases: trace (offsets 0, 3), Hermitian defect (1, 2, 4, 5), lambda_min (6, 7, 8).
     # At STATE_TOL each of the three tests both holds and fails somewhere; below it every non-NaN case passes.
     for offsets in ((0, 3), (1, 2, 4, 5), (6, 7, 8)):

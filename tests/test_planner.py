@@ -96,14 +96,6 @@ def test_max_shared_observers_monotonic_in_q():
         assert counts == sorted(counts)
 
 
-def test_min_dimension_noise_robust_case():
-    plan = min_dimension_parameter(2, 0.5)
-    assert plan.n == 8
-    assert plan.bound_from_q == 4
-    assert not plan.bound_from_q_sufficient  # n=4 serves only one observer at q=0.5
-    assert plan.bound_from_q_squared == 8
-
-
 def test_min_dimension_trivial_cases():
     assert min_dimension_parameter(3, 1.0).n == 3
     assert min_dimension_parameter(1, 1.0).n == 2
@@ -126,14 +118,6 @@ def test_min_dimension_refuses_sizes_above_the_chain_limit(m, q):
 
 def test_min_dimension_at_the_chain_limit():
     assert min_dimension_parameter(MAX_CHAIN_N, 1.0).n == MAX_CHAIN_N
-
-
-def test_min_dimension_matches_exhaustive_search():
-    for m, q in [(1, 0.8), (2, 0.7), (3, 0.9), (2, 0.35)]:
-        plan = min_dimension_parameter(m, q)
-        assert max_shared_observers(plan.n, q) >= m
-        for smaller in range(2, plan.n):
-            assert max_shared_observers(smaller, q) < m
 
 
 def test_anonymous_chain_length_edge_and_frozen_values():

@@ -78,13 +78,19 @@ def _oracle_programs(seed, count):
         yield rng.normal(size=nvar), a, a @ feasible
 
 
+# The optimal basis of this program, columns {0, 1}, has condition number about 2e4 and gives 0.5; the other
+# feasible vertex gives 0.
+ILL_CONDITIONED = ([0.0, 1.0, 0.0], [[1.0, 1.0, 1.0], [0.0, 1e-4, 1.0]], [1.0, 5e-5])
+
+
 def test_matches_vertex_enumeration_on_random_bounded_instances():
-    for c, a, b in _oracle_programs(123, 60):
+    for c, a, b in [*_oracle_programs(123, 60), ILL_CONDITIONED]:
         result = solve_lp(c, a, b)
         ok, best = enumerate_vertex_optimum(c, a, b)
         assert ok and result.status == "optimal"
         assert result.objective == pytest.approx(best, abs=1e-9)
         assert result.residual <= 1e-9
+    assert enumerate_vertex_optimum(*ILL_CONDITIONED)[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def _screened_vertex_optimum(c, a_eq, b_eq):
